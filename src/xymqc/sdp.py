@@ -1,15 +1,18 @@
-"""Semidefinite solver for the PPT exact entanglement cost of a 2x4 cut.
+"""PPT exact entanglement cost E_kappa of a 2x4 cut.
 
-Solves  minimize Tr S  over Hermitian S subject to
+E_kappa is log2 of the optimum of  minimize Tr S  over Hermitian S with
 
     S >= 0,    S^{T_A} - rho^{T_A} >= 0,    S^{T_A} + rho^{T_A} >= 0,
 
-where T_A transposes the first (2-dimensional) factor.  The cost is
-log2 of the optimum.  The solver is a feasible-start primal-dual
-path-following method with Nesterov-Todd scaling on the three Hermitian
-blocks; the variable space is the real vector space of 8x8 Hermitian
-matrices (64-dimensional, or the 36-dimensional symmetric subspace when
-the data are real).  Everything is deterministic.
+where T_A transposes the first (2-dimensional) factor.  `e_ppt` first tests
+the binegativity certificate |rho^{T_A}|^{T_A} >= 0; where it holds, S =
+|rho^{T_A}|^{T_A} is optimal and E_kappa is the log-negativity
+log2 ||rho^{T_A}||_1 in closed form (Wang & Wilde, PRL 125, 040502 (2020)).
+Only where it fails does the semidefinite program run.  Its solver is a
+feasible-start primal-dual path-following method with Nesterov-Todd scaling
+on the three Hermitian blocks; the variable space is the real vector space
+of 8x8 Hermitian matrices (64-dimensional, or the 36-dimensional symmetric
+subspace when the data are real).  Everything is deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +25,9 @@ from .measures import _permute_to_front
 
 GAP_TOL = 1e-9
 MAX_ITERS = 200
+# |rho^T|^T + eps*I is feasible, so the closed form is exact to 8*eps/ln 2,
+# the size of the SDP's own duality gap.
+CERTIFICATE_TOL = 1e-10
 _STEP_FRACTION = 0.98
 
 
@@ -312,80 +318,30 @@ def verify_solution(rho, dims, center, solution, gap_tol=1e-6, feas_tol=1e-8):
     )
 
 
+def _binegativity(rho, dims, center):
+    """(min eigenvalue of |rho^T|^T, ||rho^T||_1) across the cut center | rest."""
+    dims = tuple(dims)
+    rho_front = _permute_to_front(rho, dims, center)
+    pt_dims = (dims[center], rho_front.shape[0] // dims[center])
+    w, v = np.linalg.eigh(partial_transpose(rho_front, pt_dims, 0))
+    abs_pt = (v * np.abs(w)) @ v.conj().T
+    min_eig = float(np.linalg.eigvalsh(partial_transpose(abs_pt, pt_dims, 0))[0])
+    return min_eig, float(np.sum(np.abs(w)))
+
+
 def e_ppt(rho, dims=(2, 2, 2), center=0):
-    """Convenience wrapper returning (e_kappa, status)."""
+    """PPT exact entanglement cost across center | rest as (e_kappa, status).
+
+    Where the binegativity certificate holds, e_kappa is the log-negativity
+    and no SDP is solved; otherwise the interior-point solver runs.
+    """
+    min_eig, pt_norm = _binegativity(rho, dims, center)
+    if min_eig >= -CERTIFICATE_TOL:
+        return float(np.log2(pt_norm)), "converged"
     sol = solve_kappa(rho, dims, center)
     return sol.e_kappa, sol.status
 
 
-def binegativity_is_psd(rho, dims=(2, 2, 2), center=0, tol=1e-10):
+def binegativity_is_psd(rho, dims=(2, 2, 2), center=0, tol=CERTIFICATE_TOL):
     """True when |rho^T|^T is PSD, which forces e_kappa to equal LN."""
-    prog = KappaProgram(rho, dims, center)
-    w, v = np.linalg.eigh(prog.rho_pt)
-    abs_pt = (v * np.abs(w)) @ v.conj().T
-    return float(np.linalg.eigvalsh(prog.pt(abs_pt))[0]) >= -tol
-
-
-def _embed_hermitian(m):
-    """2n x 2n real symmetric embedding [[Re, -Im], [Im, Re]]."""
-    m = np.asarray(m, dtype=complex)
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
-
-
-def _deembed(m):
-    """Inverse of the embedding (projects onto the image algebra first)."""
-    n = m.shape[0] // 2
-    re = 0.5 * (m[:n, :n] + m[n:, n:])
-    im = 0.5 * (m[n:, :n] - m[:n, n:])
-    return re + 1j * im
-
-
-class RealEmbeddedKappaProgram(KappaProgram):
-    """Same program over the real symmetric embedding of every block.
-
-    The optimum doubles under the embedding; this is the fallback path the
-    complex-native solver is checked against.
-    """
-
-    def __init__(self, rho, dims, center):
-        super().__init__(rho, dims, center)
-        self._half = self.dim
-        self.dim = 2 * self._half
-        self.real_data = True
-        self.rho_pt = _embed_hermitian(self.rho_pt)
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        basis = _cached_basis(self._half, False)
-        self.basis = np.array([_embed_hermitian(e) * inv_sqrt2 for e in basis])
-        self.basis_pt = np.array([self.pt(e) for e in self.basis])
-        self._basis_flat = self.basis.reshape(len(self.basis), -1)
-        self._basis_flat_conj = self._basis_flat
-        self._basis_pt_flat_conj = self.basis_pt.reshape(len(self.basis), -1)
-        self.pt_norm = trace_norm(self.rho_pt) / 2.0
-
-    def pt(self, m):
-        n = self._half
-        out = np.empty_like(m)
-        for a in (0, 1):
-            for b in (0, 1):
-                out[a * n:(a + 1) * n, b * n:(b + 1) * n] = partial_transpose(
-                    m[a * n:(a + 1) * n, b * n:(b + 1) * n], self.pt_dims, 0
-                )
-        return out
-
-
-def solve_kappa_real_embedding(rho, dims=(2, 2, 2), center=0, gap_tol=GAP_TOL,
-                               max_iters=MAX_ITERS):
-    """Solve via the real symmetric embedding; optima match the native path."""
-    prog = RealEmbeddedKappaProgram(rho, dims, center)
-    sol = _solve_program(prog, gap_tol, max_iters)
-    optimum = sol.optimum / 2.0
-    return SdpSolution(
-        optimum=optimum,
-        e_kappa=float(np.log2(optimum)),
-        s_matrix=_deembed(sol.s_matrix),
-        duality_gap=sol.duality_gap / 2.0,
-        iterations=sol.iterations,
-        status=sol.status,
-        dual_blocks=None,
-        pt_trace_norm=prog.pt_norm,
-    )
+    return _binegativity(rho, dims, center)[0] >= -tol

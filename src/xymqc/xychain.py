@@ -11,8 +11,8 @@ spin triple is 4*s1 + 2*s2 + s3 (leftmost site most significant).  At
 lambda=0 the ground state is |111>.
 """
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -118,17 +118,15 @@ class CorrelationTable:
     def __init__(self, params):
         self.params = params
         self._values = {}
-        self._lock = threading.Lock()
 
     def g(self, r):
         r = int(r)
-        with self._lock:
-            if r not in self._values:
-                if self.params.infinite:
-                    self._values[r] = g_infinite(r, self.params)
-                else:
-                    self._values[r] = g_finite(r, self.params)
-            return self._values[r]
+        if r not in self._values:
+            if self.params.infinite:
+                self._values[r] = g_infinite(r, self.params)
+            else:
+                self._values[r] = g_finite(r, self.params)
+        return self._values[r]
 
     def ensure_range(self, rmax):
         for r in range(-rmax, rmax + 1):
@@ -136,19 +134,10 @@ class CorrelationTable:
         return self
 
 
-_TABLE_CACHE = {}
-_TABLE_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=64)
 def correlation_table(params):
-    """Process-wide memoized CorrelationTable keyed on exact parameter bits."""
-    key = (params.lam, params.gamma, params.length)
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(key)
-        if table is None:
-            table = CorrelationTable(params)
-            _TABLE_CACHE[key] = table
-        return table
+    """CorrelationTable shared per parameter point; the 64 most recent are kept."""
+    return CorrelationTable(params)
 
 
 def _wick_det(g, a_sites, b_sites, sign):

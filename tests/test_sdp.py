@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from xymqc import sdp
 from xymqc.linalg import partial_transpose, trace_norm
@@ -97,16 +98,6 @@ class TestSolveKappa:
         assert a.iterations == b.iterations
         assert np.array_equal(a.s_matrix, b.s_matrix)
 
-    def test_real_embedding_matches(self):
-        # solving over the 2n x 2n real symmetric embedding must reproduce
-        # the complex-native optimum
-        rng = np.random.default_rng(41)
-        for _ in range(3):
-            rho = random_mixed(rng)
-            native = sdp.solve_kappa(rho, DIMS3, 0)
-            embedded = sdp.solve_kappa_real_embedding(rho, DIMS3, 0)
-            assert abs(native.optimum - embedded.optimum) < 1e-8
-
 
 class TestVerifySolution:
     def test_converged_bell(self):
@@ -124,6 +115,14 @@ class TestVerifySolution:
         rep = sdp.verify_solution(rho, DIMS3, 0, sol)
         assert not rep.feasible
 
+    def test_random_states_primal_dual(self):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            rho = random_mixed(rng)
+            sol = sdp.solve_kappa(rho, DIMS3, 0)
+            rep = sdp.verify_solution(rho, DIMS3, 0, sol)
+            assert rep.feasible and rep.optimal
+
     def test_ppt_window_state(self):
         # the bound-entanglement regime of the anisotropic chain
         rho = rdm3(SpinGeometry(4, 4), ModelParams(1.0, 0.5)).matrix
@@ -139,6 +138,42 @@ class TestEppt:
         e, status = sdp.e_ppt(np.eye(8, dtype=complex) / 8.0)
         assert status == "converged"
         assert abs(e) < 1e-7
+
+    @pytest.mark.parametrize(
+        "alpha, beta, lam_lo, lam_hi",
+        [(4, 4, 1.14, 1.18), (2, 1, 1.09, 1.13)],
+    )
+    def test_matches_sdp_across_certificate_edge(self, alpha, beta, lam_lo, lam_hi):
+        certified = uncertified = 0
+        for lam in np.linspace(lam_lo, lam_hi, 41):
+            rho = rdm3(SpinGeometry(alpha, beta), ModelParams(lam, 0.5)).matrix
+            for center in range(3):
+                if sdp.binegativity_is_psd(rho, DIMS3, center):
+                    certified += 1
+                else:
+                    uncertified += 1
+                e, status = sdp.e_ppt(rho, DIMS3, center)
+                assert status == "converged"
+                assert abs(e - sdp.solve_kappa(rho, DIMS3, center).e_kappa) < 1e-8
+        assert certified and uncertified
+
+    def test_sdp_runs_only_without_certificate(self, monkeypatch):
+        calls = []
+        solve_kappa = sdp.solve_kappa
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_kappa(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve_kappa", counting)
+        rho = rdm3(SpinGeometry(4, 4), ModelParams(1.14, 0.5)).matrix
+        assert sdp.binegativity_is_psd(rho, DIMS3, 1)
+        sdp.e_ppt(rho, DIMS3, 1)
+        assert not calls
+        rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
+        assert not sdp.binegativity_is_psd(rho, DIMS3, 1)
+        sdp.e_ppt(rho, DIMS3, 1)
+        assert len(calls) == 1
 
     def test_floor_against_trace_norm(self):
         rho = rdm3(SpinGeometry(1, 1), ModelParams(1.0, 1.0)).matrix

@@ -130,6 +130,12 @@ class TestCorrelationTable:
         t2 = correlation_table(ModelParams(0.73, 0.41))
         assert t1 is t2
 
+    def test_cache_is_bounded(self):
+        bound = correlation_table.cache_info().maxsize
+        for k in range(bound + 10):
+            correlation_table(ModelParams(0.5 + 1e-3 * k, 0.37))
+        assert correlation_table.cache_info().currsize <= bound
+
     def test_cache_correctness_independent(self):
         params = ModelParams(1.1, 0.6)
         cached = correlation_table(params).g(2)
