@@ -22,8 +22,8 @@ from .xychain import (
     ModelParams,
     SpinGeometry,
     factorization_lambda,
+    correlators,
     rdm3,
-    correlation_table,
 )
 
 EXIT_OK = 0
@@ -143,9 +143,8 @@ def cmd_rdm(args):
     length = _model_params(args)
     params, geom = _validated_setup(args, length)
     rho = rdm3(geom, params)
-    table = correlation_table(params)
     span = geom.span
-    g_vals = {r: table.g(r) for r in range(-span, span + 1)}
+    g_vals = dict(zip(range(-span, span + 1), correlators(params, span)))
     eigs = np.linalg.eigvalsh(rho.matrix)[::-1]
     lines = _header_lines(args)
     lines.append(

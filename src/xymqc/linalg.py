@@ -143,8 +143,3 @@ def matrix_sqrt_psd(m):
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.conj().T
     return 0.5 * (root + root.conj().T)
-
-
-def determinant(m):
-    """LU-based determinant (complex)."""
-    return complex(np.linalg.det(np.asarray(m, dtype=complex)))

@@ -1,10 +1,18 @@
 """Ground-state correlators and reduced density matrices of the XY chain.
 
 The chain is H = -lambda * sum[(1+gamma)/2 XX + (1-gamma)/2 YY] + sum Z with
-periodic boundary conditions.  Two-point fermionic correlators g(r) are
-evaluated by quadrature (thermodynamic limit) or by a momentum sum (finite
-odd L), and every element of the three-spin reduced state is assembled from
-them through Wick-theorem determinants.
+periodic boundary conditions.  The two-point fermionic correlators
+
+    g(r) = (1/pi) int_0^pi [cos(r phi) alpha - sin(r phi) beta] / omega dphi,
+    alpha = 1 + lambda cos(phi), beta = lambda gamma sin(phi),
+    omega = sqrt(alpha^2 + beta^2),
+
+are evaluated in the thermodynamic limit by a fixed 20-point Gauss-Legendre
+rule on panels graded toward the gap-closing momenta, with the closed form
+at gamma = 0, and for finite odd L by the momentum sum.  Either way all
+g(-rmax..rmax) of a parameter point come from one vectorised call
+(`correlators`), and every element of the three-spin reduced state is
+assembled from them through Wick-theorem determinants.
 
 Basis conventions: |0> is the sigma_z = +1 eigenstate, the basis index of a
 spin triple is 4*s1 + 2*s2 + s3 (leftmost site most significant).  At
@@ -12,10 +20,8 @@ lambda=0 the ground state is |111>.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .linalg import DensityMatrix, partial_trace
 
@@ -67,176 +73,214 @@ class SpinGeometry:
         return self.alpha + self.beta
 
 
-def _integrand(phi, r, lam, gamma):
-    alpha = 1.0 + lam * np.cos(phi)
-    beta = lam * gamma * np.sin(phi)
-    denom = np.hypot(alpha, beta)
-    if denom == 0.0:
-        return 0.0  # removable 0/0 exactly at the gap-closing momentum
-    return (np.cos(phi * r) * alpha - beta * np.sin(phi * r)) / denom
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(20)
+# Panel width times the largest |r| stays below this, so that every panel
+# holds at most ~1.3 periods of cos(r phi) (20-point rule exact to ~1e-15).
+_MAX_PHASE = 8.0
+# Floor of the grading depth, reached only for gamma < 4e-17; |integrand| <= 1,
+# so the unresolved remainder is below 1e-17.
+_MIN_DEPTH = 1e-17
+
+
+def _lags(r):
+    """Integer lags as an array, with the largest |r| among them."""
+    lags = np.asarray(r)
+    if lags.dtype.kind not in "iu":
+        raise TypeError(f"lags must be integers, got {lags.dtype}")
+    return lags, int(np.max(np.abs(lags), initial=0))
+
+
+def _moments(t, weights, lam, gamma, rmax):
+    """C_r = sum w cos(r phi) alpha/omega, S_r = sum w sin(r phi) beta/omega, r = 0..rmax.
+
+    Nodes are given as t = pi - phi, so that alpha = 1 + lam cos(phi) =
+    (1 - lam) + 2 lam cos^2(phi/2) keeps full relative precision where the
+    gap closes (phi -> pi).
+    """
+    half = np.sin(0.5 * t)                        # cos(phi/2)
+    alpha = (1.0 - lam) + 2.0 * lam * half * half
+    beta = lam * gamma * np.sin(t)
+    omega = np.hypot(alpha, beta)
+    powers = np.vander(-np.cos(t) + 1j * np.sin(t), rmax + 1, increasing=True)  # e^{i r phi}
+    return (weights * alpha / omega) @ powers.real, (weights * beta / omega) @ powers.imag
+
+
+def _combine(lags, cos_moments, sin_moments):
+    """g(±r) = C_r ∓ S_r; a float for a scalar lag, an array otherwise."""
+    k = np.abs(lags)
+    g = cos_moments[k] - np.sign(lags) * sin_moments[k]
+    return float(g) if g.ndim == 0 else g
+
+
+def _graded_rule(lam, gamma, rmax):
+    """Nodes t = pi - phi and weights of the graded Gauss-Legendre rule on [0, pi].
+
+    Panels halve in width toward t = 0 (phi = pi, where the gap closes at
+    lambda = 1) down to min(|1 - lambda|, gamma)/4, and for lambda > 1 also
+    toward t0 = arccos(1/lambda) (phi0 = arccos(-1/lambda), where alpha
+    vanishes and the integrand steps over a width ~gamma) down to gamma/4.
+    """
+    depth = max(min(abs(1.0 - lam), gamma) / 4.0, _MIN_DEPTH)
+    levels = np.arange(int(np.ceil(np.log2(np.pi / depth))) + 1)
+    edges = [np.array([0.0]), np.pi * 0.5 ** levels]
+    if lam > 1.0:
+        t0 = np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))
+        steps = 0.25 * gamma * 2.0 ** np.arange(int(np.ceil(np.log2(4.0 * np.pi / gamma))) + 1)
+        edges += [np.array([t0]), t0 - steps, t0 + steps]
+    edges = np.unique(np.clip(np.concatenate(edges), 0.0, np.pi))
+    pieces = np.ceil(np.diff(edges) * max(rmax, 1) / _MAX_PHASE).astype(int)
+    if pieces.max() > 1:
+        edges = np.concatenate([np.linspace(a, b, n, endpoint=False)
+                                for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    return (mid[:, None] + half[:, None] * _GAUSS_X).ravel(), (half[:, None] * _GAUSS_W).ravel()
 
 
 def g_infinite(r, params):
-    """Fermionic correlator g(r) in the thermodynamic limit (quadrature)."""
+    """Fermionic correlator g(r) in the thermodynamic limit.
+
+    r is an int (returns a float) or an int array (returns an array).  The
+    integral is a graded 20-point Gauss-Legendre rule.  At lambda = 0 and at
+    gamma = 0 the closed forms are used: g(r) = delta_{r0} for lambda <= 1,
+    and g(r) = 2 sin(r phi0)/(pi r), g(0) = 2 phi0/pi - 1 with
+    phi0 = arccos(-1/lambda) for lambda > 1.
+    """
+    lags, rmax = _lags(r)
     lam, gamma = params.lam, params.gamma
-    # Interior points where the dispersion can vanish (integrand kink/jump).
-    pts = []
-    if gamma == 0.0 and lam > 1.0:
-        pts.append(np.arccos(-1.0 / lam))
-    if abs(lam - 1.0) < 1e-13:
-        pts.append(np.pi * (1 - 1e-9))
-    val, err = integrate.quad(
-        _integrand, 0.0, np.pi, args=(r, lam, gamma),
-        epsabs=1e-12, epsrel=1e-12, limit=400, points=pts or None,
-    )
-    return val / np.pi
+    if gamma > 0.0 and lam > 0.0:
+        t, weights = _graded_rule(lam, gamma, rmax)
+        return _combine(lags, *_moments(t, weights / np.pi, lam, gamma, rmax))
+    cos_moments = (np.arange(rmax + 1) == 0).astype(float)
+    if lam > 1.0:
+        phi0 = np.pi - np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))  # arccos(-1/lam)
+        k = np.arange(1, rmax + 1)
+        cos_moments[0] = 2.0 * phi0 / np.pi - 1.0
+        cos_moments[1:] = 2.0 * np.sin(k * phi0) / (np.pi * k)
+    return _combine(lags, cos_moments, np.zeros(rmax + 1))
 
 
 def g_finite(r, params):
     """Fermionic correlator g(r) for a finite odd chain (momentum sum).
 
+    r is an int (returns a float) or an int array (returns an array).
     Momenta are phi_q = 2*pi*q/L with integer q in [-(L-1)/2, (L-1)/2];
     this set reproduces the lowest eigenstate of the odd spin-parity sector.
+    The +q and -q terms are summed together.
     """
     if params.infinite:
         raise ValueError("g_finite requires a finite chain")
-    L, lam, gamma = params.length, params.lam, params.gamma
-    q = np.arange(-(L - 1) // 2, (L - 1) // 2 + 1)
-    phi = 2.0 * np.pi * q / L
-    alpha = 1.0 + lam * np.cos(phi)
-    beta = lam * gamma * np.sin(phi)
-    terms = (np.cos(phi * r) * alpha - beta * np.sin(phi * r)) / np.hypot(alpha, beta)
-    return float(np.sum(terms)) / L
+    lags, rmax = _lags(r)
+    L = params.length
+    q = np.arange((L + 1) // 2)
+    weights = np.where(q == 0, 1.0, 2.0) / L
+    t = np.pi * (L - 2 * q) / L
+    return _combine(lags, *_moments(t, weights, params.lam, params.gamma, rmax))
 
 
-class CorrelationTable:
-    """Memoized g(r) values for one parameter point.
+def correlators(params, rmax):
+    """g(-rmax), ..., g(rmax) from one correlator call; g(r) sits at index r + rmax."""
+    lags = np.arange(-rmax, rmax + 1)
+    if params.infinite:
+        return g_infinite(lags, params)
+    return g_finite(lags, params)
 
-    Lookups integrate/sum lazily; correctness never depends on cache hits.
+
+def _wick_det(gv, a_sites, b_sites, sign):
+    """sign * det[ g(b_j - a_i) ] over ascending A/B site lists.
+
+    gv holds g(-rmax), ..., g(rmax) as returned by `correlators`.
     """
-
-    def __init__(self, params):
-        self.params = params
-        self._values = {}
-
-    def g(self, r):
-        r = int(r)
-        if r not in self._values:
-            if self.params.infinite:
-                self._values[r] = g_infinite(r, self.params)
-            else:
-                self._values[r] = g_finite(r, self.params)
-        return self._values[r]
-
-    def ensure_range(self, rmax):
-        for r in range(-rmax, rmax + 1):
-            self.g(r)
-        return self
+    lags = np.asarray(b_sites)[None, :] - np.asarray(a_sites)[:, None]
+    return sign * float(np.linalg.det(gv[lags + len(gv) // 2]))
 
 
-@lru_cache(maxsize=64)
-def correlation_table(params):
-    """CorrelationTable shared per parameter point; the 64 most recent are kept."""
-    return CorrelationTable(params)
-
-
-def _wick_det(g, a_sites, b_sites, sign):
-    """sign * det[ g(b_j - a_i) ] over ascending A/B site lists."""
-    n = len(a_sites)
-    m = np.empty((n, n))
-    for i, a in enumerate(a_sites):
-        for j, b in enumerate(b_sites):
-            m[i, j] = g(b - a)
-    return sign * float(np.linalg.det(m))
-
-
-def corr_xx(g, dist):
+def corr_xx(gv, dist):
     """<X_0 X_d> pair correlator."""
     a = list(range(1, dist + 1))
     b = list(range(0, dist))
-    return _wick_det(g, a, b, 1.0)
+    return _wick_det(gv, a, b, 1.0)
 
 
-def corr_yy(g, dist):
+def corr_yy(gv, dist):
     """<Y_0 Y_d> pair correlator."""
     a = list(range(0, dist))
     b = list(range(1, dist + 1))
-    return _wick_det(g, a, b, 1.0)
+    return _wick_det(gv, a, b, 1.0)
 
 
-def corr_zz(g, dist):
+def corr_zz(gv, dist):
     """<Z_0 Z_d> pair correlator."""
-    return g(0) ** 2 - g(dist) * g(-dist)
+    r0 = len(gv) // 2
+    return gv[r0] ** 2 - gv[r0 + dist] * gv[r0 - dist]
 
 
-def corr_zzz(g, alpha, beta):
+def corr_zzz(gv, alpha, beta):
     """<Z_{-a} Z_0 Z_b> triple correlator."""
     sites = [-alpha, 0, beta]
-    return _wick_det(g, sites, sites, -1.0)
+    return _wick_det(gv, sites, sites, -1.0)
 
 
-def corr_xxz(g, alpha, beta):
+def corr_xxz(gv, alpha, beta):
     """<X_{-a} X_0 Z_b> triple correlator."""
     a = list(range(-alpha + 1, 1)) + [beta]
     b = list(range(-alpha, 0)) + [beta]
-    return _wick_det(g, a, b, -1.0)
+    return _wick_det(gv, a, b, -1.0)
 
 
-def corr_yyz(g, alpha, beta):
+def corr_yyz(gv, alpha, beta):
     """<Y_{-a} Y_0 Z_b> triple correlator."""
     a = list(range(-alpha, 0)) + [beta]
     b = list(range(-alpha + 1, 1)) + [beta]
-    return _wick_det(g, a, b, -1.0)
+    return _wick_det(gv, a, b, -1.0)
 
 
-def corr_zxx(g, alpha, beta):
+def corr_zxx(gv, alpha, beta):
     """<Z_{-a} X_0 X_b>; mirror image of <X X Z> with the roles swapped."""
-    return corr_xxz(g, beta, alpha)
+    return corr_xxz(gv, beta, alpha)
 
 
-def corr_zyy(g, alpha, beta):
+def corr_zyy(gv, alpha, beta):
     """<Z_{-a} Y_0 Y_b>; mirror image of <Y Y Z>."""
-    return corr_yyz(g, beta, alpha)
+    return corr_yyz(gv, beta, alpha)
 
 
-def corr_xzx(g, alpha, beta):
+def corr_xzx(gv, alpha, beta):
     """<X_{-a} Z_0 X_b> triple correlator."""
     a = [s for s in range(-alpha + 1, beta + 1) if s != 0]
     b = [s for s in range(-alpha, beta) if s != 0]
-    return _wick_det(g, a, b, 1.0)
+    return _wick_det(gv, a, b, 1.0)
 
 
-def corr_yzy(g, alpha, beta):
+def corr_yzy(gv, alpha, beta):
     """<Y_{-a} Z_0 Y_b> triple correlator."""
     a = [s for s in range(-alpha, beta) if s != 0]
     b = [s for s in range(-alpha + 1, beta + 1) if s != 0]
-    return _wick_det(g, a, b, 1.0)
+    return _wick_det(gv, a, b, 1.0)
 
 
 def rdm3(geom, params):
     """Three-spin reduced density matrix for sites (i-alpha, i, i+beta)."""
     geom.validate_for(params)
     al, be = geom.alpha, geom.beta
-    table = correlation_table(params)
-    table.ensure_range(al + be + 1)
-    g = table.g
+    gv = correlators(params, al + be)
 
-    z1 = z2 = z3 = -g(0)                      # single-site <Z>
-    z12 = corr_zz(g, al)                      # sites (i-alpha, i)
-    z13 = corr_zz(g, al + be)                 # sites (i-alpha, i+beta)
-    z23 = corr_zz(g, be)                      # sites (i, i+beta)
-    zzz = corr_zzz(g, al, be)
+    z1 = z2 = z3 = -gv[al + be]           # single-site <Z> = -g(0)
+    z12 = corr_zz(gv, al)                 # sites (i-alpha, i)
+    z13 = corr_zz(gv, al + be)            # sites (i-alpha, i+beta)
+    z23 = corr_zz(gv, be)                 # sites (i, i+beta)
+    zzz = corr_zzz(gv, al, be)
 
-    xx23, yy23 = corr_xx(g, be), corr_yy(g, be)
-    xx13, yy13 = corr_xx(g, al + be), corr_yy(g, al + be)
-    xx12, yy12 = corr_xx(g, al), corr_yy(g, al)
+    xx23, yy23 = corr_xx(gv, be), corr_yy(gv, be)
+    xx13, yy13 = corr_xx(gv, al + be), corr_yy(gv, al + be)
+    xx12, yy12 = corr_xx(gv, al), corr_yy(gv, al)
 
-    zxx = corr_zxx(g, al, be)                 # Z on site 1, XX on (2,3)
-    zyy = corr_zyy(g, al, be)
-    xzx = corr_xzx(g, al, be)                 # X..Z..X across the triple
-    yzy = corr_yzy(g, al, be)
-    xxz = corr_xxz(g, al, be)                 # XX on (1,2), Z on site 3
-    yyz = corr_yyz(g, al, be)
+    zxx = corr_zxx(gv, al, be)            # Z on site 1, XX on (2,3)
+    zyy = corr_zyy(gv, al, be)
+    xzx = corr_xzx(gv, al, be)            # X..Z..X across the triple
+    yzy = corr_yzy(gv, al, be)
+    xxz = corr_xxz(gv, al, be)            # XX on (1,2), Z on site 3
+    yyz = corr_yyz(gv, al, be)
 
     m = np.zeros((8, 8))
     # Diagonal: (1/8)[1 + sum z_i <Z_i> + sum z_i z_j <Z_i Z_j> + z1 z2 z3 <ZZZ>]

@@ -5,7 +5,6 @@ from xymqc.linalg import (
     DensityMatrix,
     NotHermitianError,
     NotPSDError,
-    determinant,
     hermitian_eig,
     matrix_sqrt_psd,
     partial_trace,
@@ -226,50 +225,6 @@ class TestMatrixSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             matrix_sqrt_psd(np.diag([1.0, -1e-3]))
-
-
-def cofactor_det(m):
-    """Laplace expansion with memoization over column subsets."""
-    n = len(m)
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def minor(row, cols):
-        if row == n:
-            return 1.0
-        total = 0.0
-        for k, c in enumerate(cols):
-            sub = cols[:k] + cols[k + 1:]
-            total += (-1.0) ** k * m[row][c] * minor(row + 1, sub)
-        return total
-
-    return minor(0, tuple(range(n)))
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert abs(determinant(np.eye(5)) - 1.0) < 1e-12
-
-    def test_closed_form_2x2(self):
-        assert abs(determinant(np.array([[1.0, 2.0], [3.0, 4.0]])) + 2.0) < 1e-12
-
-    def test_toeplitz_cofactor_oracle(self):
-        # 10x10 Toeplitz of correlator-like values vs Laplace expansion
-        rng = np.random.default_rng(31)
-        g = rng.uniform(-0.5, 0.5, size=21)
-        m = np.array([[g[j - i + 10] for j in range(10)] for i in range(10)])
-        expect = cofactor_det(m.tolist())
-        got = determinant(m)
-        assert abs(got - expect) / abs(expect) < 1e-9
-
-    def test_row_swap_flips_sign(self):
-        rng = np.random.default_rng(33)
-        m = rng.standard_normal((6, 6))
-        swapped = m.copy()
-        swapped[[0, 3]] = swapped[[3, 0]]
-        assert abs(determinant(m) + determinant(swapped)) < 1e-10 * max(
-            1.0, abs(determinant(m))
-        )
 
 
 class TestDensityMatrix:

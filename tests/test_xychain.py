@@ -1,12 +1,18 @@
+import math
+import subprocess
+import sys
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from xymqc.linalg import partial_trace
 from xymqc.xychain import (
-    CorrelationTable,
     ModelParams,
     SpinGeometry,
-    correlation_table,
+    _wick_det,
+    correlators,
     factorization_lambda,
     factorized_pair,
     g_finite,
@@ -46,6 +52,57 @@ def simpson_reference(r, lam, gamma, n=1_000_000):
         return (_simpson(integrand, 0.0, cut - 1e-12, n // 2)
                 + _simpson(integrand, cut + 1e-12, np.pi, n // 2)) / np.pi
     return _simpson(integrand, 0.0, np.pi, n) / np.pi
+
+
+def quad_reference(r, lam, gamma, points=None):
+    """g(r) by scalar adaptive quadrature, independent of the graded rule."""
+
+    def integrand(phi):
+        alpha = (1.0 - lam) + 2.0 * lam * math.cos(0.5 * phi) ** 2
+        beta = lam * gamma * math.sin(phi)
+        return (math.cos(r * phi) * alpha - math.sin(r * phi) * beta) / math.hypot(alpha, beta)
+
+    val, _ = integrate.quad(integrand, 0.0, math.pi, points=points,
+                            epsabs=1e-13, epsrel=1e-13, limit=2000)
+    return val / math.pi
+
+
+def critical_breakpoints(lam):
+    """pi - pi 2^-k, k = 1..40, plus arccos(-1/lam) where gamma = 0 would jump."""
+    points = [math.pi - math.pi * 2.0 ** -k for k in range(1, 41)]
+    if lam > 1.0:
+        points.append(math.acos(-1.0 / lam))
+    return points
+
+
+def momentum_sum_reference(r, L, lam, gamma):
+    """g(r) on a finite chain as the plain sum over all L momenta, one r at a time."""
+    q = np.arange(-(L - 1) // 2, (L - 1) // 2 + 1)
+    phi = 2.0 * np.pi * q / L
+    alpha = 1.0 + lam * np.cos(phi)
+    beta = lam * gamma * np.sin(phi)
+    terms = (np.cos(phi * r) * alpha - beta * np.sin(phi * r)) / np.hypot(alpha, beta)
+    return float(np.sum(terms)) / L
+
+
+def cofactor_det(m):
+    """Laplace expansion with memoization over column subsets."""
+    n = len(m)
+
+    @lru_cache(maxsize=None)
+    def minor(row, cols):
+        if row == n:
+            return 1.0
+        total = 0.0
+        for k, c in enumerate(cols):
+            sub = cols[:k] + cols[k + 1:]
+            total += (-1.0) ** k * m[row][c] * minor(row + 1, sub)
+        return total
+
+    return minor(0, tuple(range(n)))
+
+
+LAGS = np.arange(-9, 10)
 
 
 class TestParams:
@@ -118,29 +175,96 @@ class TestGFinite:
             g_finite(0, ModelParams(1.0, 0.5))
 
 
-class TestCorrelationTable:
-    def test_free_field_values(self):
-        table = CorrelationTable(ModelParams(0.0, 0.9, 11)).ensure_range(4)
-        assert abs(table.g(0) - 1.0) < 1e-12
-        for r in (-4, -1, 1, 4):
-            assert abs(table.g(r)) < 1e-12
+class TestClosedForms:
+    def test_gamma_zero_below_and_at_critical(self):
+        for lam in (0.0, 0.5, 1.0):
+            g = g_infinite(LAGS, ModelParams(lam, 0.0))
+            assert np.max(np.abs(g - (LAGS == 0))) <= 1e-15
 
-    def test_cache_is_shared_per_params(self):
-        t1 = correlation_table(ModelParams(0.73, 0.41))
-        t2 = correlation_table(ModelParams(0.73, 0.41))
-        assert t1 is t2
+    def test_gamma_zero_above_critical(self):
+        phi0 = np.arccos(-1.0 / 1.5)
+        g = g_infinite(LAGS, ModelParams(1.5, 0.0))
+        nonzero = LAGS != 0
+        expect = 2.0 * np.sin(LAGS[nonzero] * phi0) / (np.pi * LAGS[nonzero])
+        assert np.max(np.abs(g[nonzero] - expect)) <= 1e-15
+        assert abs(g[~nonzero][0] - (2.0 * phi0 / np.pi - 1.0)) <= 1e-15
 
-    def test_cache_is_bounded(self):
-        bound = correlation_table.cache_info().maxsize
-        for k in range(bound + 10):
-            correlation_table(ModelParams(0.5 + 1e-3 * k, 0.37))
-        assert correlation_table.cache_info().currsize <= bound
 
-    def test_cache_correctness_independent(self):
-        params = ModelParams(1.1, 0.6)
-        cached = correlation_table(params).g(2)
-        fresh = CorrelationTable(params).g(2)
-        assert cached == fresh
+class TestCorrelators:
+    def test_matches_scalar_quad(self):
+        lams = (0.1, 0.5, 0.8, 0.95, 0.99, 1 - 1e-5, 1.0, 1 + 1e-5, 1.01,
+                1.05, 1.2, 1.5, 2.0, 3.0)
+        worst = 0.0
+        for lam in lams:
+            points = critical_breakpoints(lam)
+            for gamma in (0.01, 0.2, 0.5, 0.8, 1.0):
+                g = g_infinite(LAGS, ModelParams(lam, gamma))
+                ref = [quad_reference(int(r), lam, gamma, points) for r in LAGS]
+                worst = max(worst, np.max(np.abs(g - ref)))
+        assert worst <= 1e-11
+
+    def test_near_critical(self):
+        # adaptive quadrature without breakpoints misses the feature of width
+        # |1 - lambda|/gamma at phi = pi by up to ~1e-8 here
+        for lam in (1.0 - 1e-9, 1.0 + 1e-9):
+            points = [math.pi - math.pi * 2.0 ** -k for k in range(1, 41)]
+            g = g_infinite(LAGS, ModelParams(lam, 0.5))
+            ref = [quad_reference(int(r), lam, 0.5, points) for r in LAGS]
+            assert np.max(np.abs(g - ref)) <= 1e-12
+
+    def test_finite_matches_per_r_momentum_sum(self):
+        for L in (11, 2701):
+            for lam in (0.0, 0.4, 0.9, 1.0, 1.02, 1.7):
+                for gamma in (0.01, 0.5, 1.0):
+                    g = g_finite(LAGS, ModelParams(lam, gamma, L))
+                    ref = [momentum_sum_reference(int(r), L, lam, gamma) for r in LAGS]
+                    assert np.max(np.abs(g - ref)) <= 1e-13
+
+    def test_array_calls_equal_scalar_calls(self):
+        for params in (ModelParams(1.1, 0.6), ModelParams(0.7, 0.3, 21)):
+            fn = g_finite if params.length else g_infinite
+            g = fn(LAGS, params)
+            assert isinstance(g, np.ndarray) and g.shape == LAGS.shape
+            scalars = [fn(int(r), params) for r in LAGS]
+            assert all(type(v) is float for v in scalars)
+            assert np.max(np.abs(g - scalars)) <= 1e-15
+            assert np.array_equal(correlators(params, 9), g)
+
+    def test_free_field_is_delta(self):
+        expect = np.eye(9)[4]
+        for params in (ModelParams(0.0, 0.9), ModelParams(0.0, 0.9, 11)):
+            assert np.max(np.abs(correlators(params, 4) - expect)) <= 1e-15
+
+    def test_rejects_non_integer_lags(self):
+        with pytest.raises(TypeError):
+            g_infinite(1.5, ModelParams(0.8, 0.5))
+
+
+class TestWickDet:
+    def test_toeplitz_cofactor_oracle(self):
+        # 10x10 Toeplitz of correlator-like values vs Laplace expansion
+        rng = np.random.default_rng(31)
+        g = rng.uniform(-0.5, 0.5, size=21)
+        m = np.array([[g[j - i + 10] for j in range(10)] for i in range(10)])
+        expect = cofactor_det(m.tolist())
+        got = _wick_det(g, list(range(10)), list(range(10)), 1.0)
+        assert abs(got - expect) / abs(expect) < 1e-9
+
+    def test_site_lists_index_lags(self):
+        gv = np.arange(-5.0, 6.0) ** 3 + 0.5   # distinct g(r), r = -5..5
+        a_sites, b_sites = [-2, 0, 3], [-3, -1, 2]
+        m = np.array([[gv[b - a + 5] for b in b_sites] for a in a_sites])
+        assert _wick_det(gv, a_sites, b_sites, -1.0) == -float(np.linalg.det(m))
+
+
+class TestImport:
+    def test_package_does_not_load_scipy_integrate(self):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import xymqc, sys; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestRdm3:
