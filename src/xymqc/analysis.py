@@ -81,7 +81,6 @@ def measure_point(lam, gamma, alpha, beta, length=None, with_sdp=True):
     rec = measures.evaluate(
         rho.matrix, rho.dims, solve_ppt=_solve_ppt if with_sdp else None
     )
-    pair, pdims = partial_trace(rho.matrix, rho.dims, keep=[0, 1])
     out = {
         "lambda": lam,
         "n3": rec.n3,
@@ -91,7 +90,7 @@ def measure_point(lam, gamma, alpha, beta, length=None, with_sdp=True):
         "neg_i": rec.bipartite_negativities[0],
         "neg_j": rec.bipartite_negativities[1],
         "neg_k": rec.bipartite_negativities[2],
-        "c_alpha": measures.concurrence(pair),
+        "c_alpha": rec.concurrence_01,
         "status": rec.sdp_status,
     }
     return out

@@ -5,6 +5,8 @@ follow the convention that the leftmost subsystem is the most significant
 digit of the basis index.
 """
 
+import math
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
@@ -57,33 +59,26 @@ class DensityMatrix:
         return cls(matrix, dims, validate=validate)
 
 
-def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues descending, eigenvector columns in matching order).
-    """
-    m = np.asarray(m, dtype=complex)
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise NotHermitianError(f"deviation from Hermiticity {dev:.3e}")
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def _to_tensor(matrix, dims):
     n = len(dims)
     return np.asarray(matrix).reshape(dims + dims), n
 
 
 def partial_transpose(matrix, dims, subsystem):
-    """Transpose one tensor factor of a composite-system matrix."""
+    """Transpose one tensor factor of a composite-system matrix.
+
+    Leading axes of `matrix` beyond the last two are a batch.
+    """
     dims = tuple(dims)
     if not 0 <= subsystem < len(dims):
         raise IndexError(f"subsystem {subsystem} out of range for dims {dims}")
-    t, n = _to_tensor(matrix, dims)
-    t = np.swapaxes(t, subsystem, subsystem + n)
-    d = int(np.prod(dims))
-    return t.reshape(d, d).copy()
+    matrix = np.asarray(matrix)
+    batch = matrix.shape[:-2]
+    n, b = len(dims), len(batch)
+    t = matrix.reshape(batch + dims + dims)
+    t = np.swapaxes(t, b + subsystem, b + subsystem + n)
+    d = math.prod(dims)
+    return t.reshape(batch + (d, d)).copy()
 
 
 def partial_trace(matrix, dims, keep):
@@ -109,23 +104,32 @@ def partial_trace(matrix, dims, keep):
     m = len(keep)
     t = np.transpose(t, perm + [p + m for p in perm])
     kept_dims = tuple(dims[k] for k in keep)
-    d = int(np.prod(kept_dims))
+    d = math.prod(kept_dims)
     return t.reshape(d, d).copy(), kept_dims
 
 
 def realignment(matrix, dims):
-    """Realign a bipartite matrix: R[(i,i'),(j,j')] = M[(i,j),(i',j')]."""
+    """Realign a bipartite matrix: R[(i,i'),(j,j')] = M[(i,j),(i',j')].
+
+    Leading axes of `matrix` beyond the last two are a batch.
+    """
     dims = tuple(dims)
     if len(dims) != 2:
         raise ValueError(f"realignment needs exactly two subsystem dims, got {dims}")
     da, db = dims
-    t = np.asarray(matrix).reshape(da, db, da, db)  # (i, j, i', j')
-    return t.transpose(0, 2, 1, 3).reshape(da * da, db * db).copy()
+    matrix = np.asarray(matrix)
+    batch = matrix.shape[:-2]
+    t = matrix.reshape(batch + (da, db, da, db))  # (..., i, j, i', j')
+    return np.swapaxes(t, -3, -2).reshape(batch + (da * da, db * db)).copy()
 
 
 def trace_norm(m):
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))
+    """Sum of singular values.
+
+    A float for one matrix; an array over the leading axes of a stack.
+    """
+    norms = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def matrix_sqrt_psd(m):

@@ -38,7 +38,7 @@ class SdpSolution:
     s_matrix: np.ndarray = field(repr=False)
     duality_gap: float
     iterations: int
-    status: str                      # converged | max-iterations | infeasible-numerics
+    status: str                      # converged | max-iterations | stalled | infeasible-numerics
     dual_blocks: list = field(repr=False, default=None)
     pt_trace_norm: float = 0.0
 
@@ -208,6 +208,7 @@ def _solve_program(prog, gap_tol=GAP_TOL, max_iters=MAX_ITERS):
         alpha_p = min(_max_step(z, dz) for z, dz in zip(z_blocks, dz_blocks))
         alpha_d = min(_max_step(x, dx) for x, dx in zip(x_blocks, dx_blocks))
         if min(alpha_p, alpha_d) < 1e-13:
+            status = "stalled"
             break
         s = s + alpha_p * ds
         z_blocks = prog.blocks_from_s(s)

@@ -5,7 +5,6 @@ from xymqc.linalg import (
     DensityMatrix,
     NotHermitianError,
     NotPSDError,
-    hermitian_eig,
     matrix_sqrt_psd,
     partial_trace,
     partial_transpose,
@@ -29,48 +28,6 @@ def ghz_state():
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, _ = hermitian_eig(np.eye(8))
-        assert np.allclose(w, 1.0)
-
-    def test_diagonal(self):
-        w, v = hermitian_eig(np.diag([3.0, -1.0]))
-        assert np.allclose(w, [3.0, -1.0])
-        assert abs(abs(v[0, 0]) - 1.0) < 1e-12
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = random_hermitian(rng, 8)
-            w, v = hermitian_eig(m)
-            assert np.all(np.diff(w) <= 1e-12)
-            rec = (v * w) @ v.conj().T
-            assert np.max(np.abs(rec - m)) < 1e-9
-
-    def test_companion_matrix_oracle(self):
-        # block-diagonal Hermitian: eigenvalues from characteristic
-        # polynomial roots of each block (np.roots = companion matrix)
-        rng = np.random.default_rng(5)
-        blocks = [random_hermitian(rng, 2), random_hermitian(rng, 3),
-                  random_hermitian(rng, 3)]
-        m = np.zeros((8, 8), dtype=complex)
-        at = 0
-        expect = []
-        for b in blocks:
-            n = b.shape[0]
-            m[at:at + n, at:at + n] = b
-            coeffs = np.poly(b)  # characteristic polynomial coefficients
-            expect.extend(np.roots(coeffs).real)
-            at += n
-        w, _ = hermitian_eig(m)
-        assert np.max(np.abs(np.sort(w) - np.sort(expect))) < 1e-8
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPartialTranspose:
@@ -113,6 +70,15 @@ class TestPartialTranspose:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             partial_transpose(np.eye(4), (2, 2), 2)
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = np.array([random_hermitian(rng, 8) for _ in range(6)]).reshape(2, 3, 8, 8)
+        for sub in range(3):
+            out = partial_transpose(stack, (2, 2, 2), sub)
+            assert out.shape == stack.shape
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(out[idx], partial_transpose(stack[idx], (2, 2, 2), sub))
 
 
 class TestPartialTrace:
@@ -189,6 +155,14 @@ class TestRealignment:
         with pytest.raises(ValueError):
             realignment(np.eye(8), (2, 2, 2))
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(10)
+        stack = np.array([random_hermitian(rng, 8) for _ in range(3)])
+        out = realignment(stack, (2, 4))
+        assert out.shape == (3, 4, 16)
+        for k in range(3):
+            assert np.array_equal(out[k], realignment(stack[k], (2, 4)))
+
 
 class TestTraceNorm:
     def test_identity(self):
@@ -204,6 +178,14 @@ class TestTraceNorm:
             rho = a @ a.conj().T
             rho /= np.trace(rho).real
             assert abs(trace_norm(rho) - 1.0) < 1e-9
+
+    def test_stack_returns_array_of_norms(self):
+        rng = np.random.default_rng(14)
+        stack = rng.standard_normal((3, 4, 16)) + 1j * rng.standard_normal((3, 4, 16))
+        norms = trace_norm(stack)
+        assert isinstance(trace_norm(stack[0]), float)
+        assert norms.shape == (3,)
+        assert np.max(np.abs(norms - [trace_norm(m) for m in stack])) < 1e-12
 
 
 class TestMatrixSqrt:

@@ -1,20 +1,21 @@
 import numpy as np
+import pytest
 
-from xymqc.linalg import partial_trace
+from xymqc import analysis, linalg, measures, sdp, xychain
+from xymqc.linalg import partial_trace, partial_transpose, realignment, trace_norm
 from xymqc.measures import (
     binary_entropy,
     concurrence,
     ef_lower_bound,
     eof_from_concurrence,
-    eof_two_qubit,
     evaluate,
-    log_negativity,
     n3,
     negativity,
     t3,
     tau_lb,
     tau_ub,
 )
+from xymqc.xychain import ModelParams, SpinGeometry, rdm3
 
 DIMS3 = (2, 2, 2)
 
@@ -70,6 +71,9 @@ class TestNegativity:
         assert abs(negativity(w_state(), DIMS3, 0) - 2.0 * np.sqrt(2.0) / 3.0) < 1e-12
 
     def test_log_negativity(self):
+        def log_negativity(rho, dims, part):
+            return np.log2(negativity(rho, dims, part) + 1.0)
+
         assert abs(log_negativity(bell(), (2, 2), 0) - 1.0) < 1e-12
         rng = np.random.default_rng(2)
         rho = np.kron(random_qubit(rng), random_qubit(rng))
@@ -102,6 +106,16 @@ class TestConcurrence:
         rho = (1.0 / 3.0) * np.outer(psi_minus, psi_minus.conj()) + (2.0 / 3.0) * np.eye(4) / 4.0
         assert concurrence(rho) < 1e-10
 
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(4)
+        stack = np.array([partial_trace(random_pure3(rng), DIMS3, keep=[0, 1])[0]
+                          for _ in range(6)]).reshape(2, 3, 4, 4)
+        values = concurrence(stack)
+        assert isinstance(concurrence(stack[0, 0]), float)
+        assert values.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert abs(values[idx] - concurrence(stack[idx])) < 1e-14
+
 
 class TestEof:
     def test_endpoints(self):
@@ -118,7 +132,7 @@ class TestEof:
         psi_minus[1] = 1.0 / np.sqrt(2.0)
         psi_minus[2] = -1.0 / np.sqrt(2.0)
         rho = 0.8 * np.outer(psi_minus, psi_minus.conj()) + 0.2 * np.eye(4) / 4.0
-        assert abs(eof_two_qubit(rho) - eof_from_concurrence(0.7)) < 1e-10
+        assert abs(eof_from_concurrence(concurrence(rho)) - eof_from_concurrence(0.7)) < 1e-10
 
     def test_monotone_in_concurrence(self):
         vals = [eof_from_concurrence(c) for c in np.linspace(0, 1, 21)]
@@ -236,3 +250,123 @@ class TestBoundOrdering:
             rho = rdm3(SpinGeometry(*geom), ModelParams(lam, gamma))
             rec = evaluate(rho.matrix, rho.dims, solve_ppt=sdp.e_ppt)
             assert rec.tau_lb <= rec.tau_ub + 1e-6
+
+
+def random_mixed3(rng):
+    rank = rng.integers(2, 9)
+    a = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def fixed_cost(rho, dims, center):
+    return 0.2 + 0.3 * center, "converged"
+
+
+def reference_centers(rho):
+    """Per-cut formulas: a partial trace per pair and center, SVD trace
+    norms, one scalar concurrence per pair state."""
+    centers = []
+    for center in range(3):
+        others = [i for i in range(3) if i != center]
+        neg = max(trace_norm(partial_transpose(rho, DIMS3, center)) - 1.0, 0.0)
+        order = [center] + others
+        front = rho.reshape(2, 2, 2, 2, 2, 2).transpose(order + [o + 3 for o in order])
+        front = front.reshape(8, 8)
+        lam = max(trace_norm(partial_transpose(rho, DIMS3, center)),
+                  trace_norm(realignment(front, (2, 4))))
+        lam = min(lam, 2.0)
+        ef_lb = 0.0 if lam <= 1.0 else binary_entropy(
+            0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - (lam - 1.0) ** 2))))
+        ef_pair, neg_pair = [], []
+        for other in others:
+            pair, pdims = partial_trace(rho, DIMS3, keep=[center, other])
+            ef_pair.append(eof_from_concurrence(concurrence(pair)))
+            neg_pair.append(max(trace_norm(partial_transpose(pair, pdims, 0)) - 1.0, 0.0))
+        e_ppt = fixed_cost(rho, DIMS3, center)[0]
+        centers.append(measures.CenterReport(
+            center=center,
+            negativity=neg,
+            e_ppt=e_ppt,
+            ef_lb=ef_lb,
+            ef_pair=tuple(ef_pair),
+            neg_pair=tuple(neg_pair),
+            tau_ub=e_ppt**2 - ef_pair[0] ** 2 - ef_pair[1] ** 2,
+            tau_lb=ef_lb**2 - ef_pair[0] ** 2 - ef_pair[1] ** 2,
+            t3=neg**2 - neg_pair[0] ** 2 - neg_pair[1] ** 2,
+        ))
+    return centers
+
+
+def kernel_states():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        yield random_mixed3(rng)
+    for _ in range(20):
+        yield random_pure3(rng)
+    for lam in (0.3, 0.99, 1.0, 1.2, 1.6):
+        for gamma in (0.3, 0.5, 1.0):
+            for geometry in ((1, 1), (2, 1), (4, 4)):
+                for length in (None, 41, 2701):
+                    params = ModelParams(lam, gamma, length)
+                    yield rdm3(SpinGeometry(*geometry), params).matrix
+
+
+class TestSinglePassKernel:
+    def test_matches_per_cut_formulas(self):
+        worst = 0.0
+        for rho in kernel_states():
+            rec = evaluate(rho, DIMS3, solve_ppt=fixed_cost)
+            for got, want in zip(rec.centers, reference_centers(rho)):
+                assert got.center == want.center
+                for field in ("negativity", "e_ppt", "ef_lb", "tau_ub", "tau_lb", "t3"):
+                    worst = max(worst, abs(getattr(got, field) - getattr(want, field)))
+                for field in ("ef_pair", "neg_pair"):
+                    assert len(getattr(got, field)) == 2
+                    worst = max(worst, np.max(np.abs(
+                        np.subtract(getattr(got, field), getattr(want, field)))))
+            pair, _ = partial_trace(rho, DIMS3, keep=[0, 1])
+            worst = max(worst, abs(rec.concurrence_01 - concurrence(pair)))
+        assert worst <= 1e-12
+
+    def test_bound_check_still_raises(self):
+        # Hermitian, unit trace, not PSD: the partial-transpose norm is 3
+        rho = np.diag([2.0, -1.0, 0, 0, 0, 0, 0, 0]).astype(complex)
+        assert trace_norm(partial_transpose(rho, DIMS3, 0)) > 2.0
+        with pytest.raises(ValueError, match="trace-norm bound"):
+            evaluate(rho)
+        with pytest.raises(ValueError, match="trace-norm bound"):
+            ef_lower_bound(rho, DIMS3, 0)
+
+    def test_rejects_non_three_qubit_dims(self):
+        for dims in ((2, 4), (4, 2), (2, 2, 2, 1)):
+            with pytest.raises(ValueError, match="three qubits"):
+                evaluate(np.eye(8, dtype=complex) / 8.0, dims)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap every binding of module.name in the package with a call counter."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in (analysis, linalg, measures, sdp, xychain):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestRepeatedWorkGuard:
+    def test_one_concurrence_and_three_partial_traces_per_point(self, monkeypatch):
+        rho = rdm3(SpinGeometry(2, 1), ModelParams(0.9, 0.5, 41)).matrix
+        conc = count_calls(monkeypatch, measures, "concurrence")
+        traces = count_calls(monkeypatch, linalg, "partial_trace")
+        evaluate(rho, DIMS3)
+        assert len(conc) == 1 and len(traces) <= 3
+        conc.clear()
+        traces.clear()
+        analysis.measure_point(0.9, 0.5, 2, 1, 41, with_sdp=False)
+        assert len(conc) == 1 and len(traces) <= 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xymqc import sdp
+from xymqc import measures, sdp
 from xymqc.linalg import partial_transpose, trace_norm
 from xymqc.xychain import ModelParams, SpinGeometry, rdm3
 
@@ -89,6 +89,12 @@ class TestSolveKappa:
         sol2 = sdp._solve_program(flipped)
         assert abs(sol.optimum - sol2.optimum) < 1e-7
 
+    def test_step_length_stall_reported(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_max_step", lambda block, dblock: 0.0)
+        sol = sdp.solve_kappa(bell_embedded(), DIMS3, 0)
+        assert sol.status == "stalled"
+        assert sol.iterations == 1
+
     def test_deterministic(self):
         rng = np.random.default_rng(37)
         rho = random_mixed(rng)
@@ -174,6 +180,14 @@ class TestEppt:
         assert not sdp.binegativity_is_psd(rho, DIMS3, 1)
         sdp.e_ppt(rho, DIMS3, 1)
         assert len(calls) == 1
+
+    def test_stalled_cut_flags_the_point(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_max_step", lambda block, dblock: 0.0)
+        rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
+        assert sdp.e_ppt(rho, DIMS3, 1)[1] == "stalled"
+        rec = measures.evaluate(rho, DIMS3, solve_ppt=sdp.e_ppt)
+        assert rec.sdp_status != "ok"
+        assert "stalled" in rec.sdp_status
 
     def test_floor_against_trace_norm(self):
         rho = rdm3(SpinGeometry(1, 1), ModelParams(1.0, 1.0)).matrix
