@@ -10,14 +10,11 @@ is what the cross-validation suite compares against.
 Site 0 is the most significant bit of the basis index; |0> is sigma_z = +1.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from .linalg import DensityMatrix
-from .xychain import ModelParams
 
 _LANCZOS_SEED = 20240901
 
@@ -26,32 +23,27 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-@dataclass
-class DenseHamiltonian:
-    length: int
-    params: ModelParams
-    matrix: sparse.csr_matrix = field(repr=False)
+def _popcount(length):
+    """Number of one bits of every basis index 0 .. 2^length - 1."""
+    n = np.arange(1 << length, dtype=np.int64)
+    return sum((n >> s) & 1 for s in range(length))
 
-    def to_dense(self):
-        return self.matrix.toarray()
+
+def _length(ham):
+    """Chain length of a 2^L x 2^L Hamiltonian."""
+    return ham.shape[0].bit_length() - 1
 
 
 def build_hamiltonian(length, params):
-    """H = -lambda sum[(1+g)/2 XX + (1-g)/2 YY] + sum Z, site L+1 = 1."""
+    """H = -lambda sum[(1+g)/2 XX + (1-g)/2 YY] + sum Z, site L+1 = 1, as CSR."""
     if not (5 <= length <= 14) or length % 2 == 0:
         raise ValueError(f"length must be odd in [5, 14], got {length}")
     lam, gamma = params.lam, params.gamma
     dim = 1 << length
     n = np.arange(dim, dtype=np.int64)
 
-    rows, cols, vals = [], [], []
     # field term: sum_i sigma_z, diagonal = (# zero bits) - (# one bits)
-    popcnt = np.zeros(dim, dtype=np.int64)
-    for s in range(length):
-        popcnt += (n >> s) & 1
-    rows.append(n)
-    cols.append(n)
-    vals.append((length - 2 * popcnt).astype(float))
+    rows, cols, vals = [n], [n], [(length - 2 * _popcount(length)).astype(float)]
 
     for i in range(length):
         j = (i + 1) % length
@@ -69,21 +61,15 @@ def build_hamiltonian(length, params):
         cols.append(n ^ mask)
         vals.append(coeff)
 
-    h = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
     ).tocsr()
-    return DenseHamiltonian(length=length, params=params, matrix=h)
 
 
 def spin_parity_diagonal(length):
     """Diagonal of prod_i sigma_z in the computational basis."""
-    dim = 1 << length
-    n = np.arange(dim, dtype=np.int64)
-    popcnt = np.zeros(dim, dtype=np.int64)
-    for s in range(length):
-        popcnt += (n >> s) & 1
-    return (-1.0) ** popcnt
+    return (-1.0) ** _popcount(length)
 
 
 def _lowest_eigenpairs(matrix, k, maxiter=None):
@@ -107,11 +93,11 @@ def ground_state(ham, degeneracy_tol=1e-9):
     If the two lowest levels coincide within `degeneracy_tol`, the returned
     state is the even spin-parity combination (parity expectation > 0).
     """
-    w, v = _lowest_eigenpairs(ham.matrix, k=2)
+    w, v = _lowest_eigenpairs(ham, k=2)
     energy = float(w[0])
     state = v[:, 0].astype(complex)
     if w[1] - w[0] < degeneracy_tol:
-        pz = spin_parity_diagonal(ham.length)
+        pz = spin_parity_diagonal(_length(ham))
         # diagonalize parity within the degenerate 2d space
         block = np.array(
             [[(v[:, a].conj() * pz) @ v[:, b] for b in (0, 1)] for a in (0, 1)]
@@ -120,7 +106,7 @@ def ground_state(ham, degeneracy_tol=1e-9):
         pick = int(np.argmax(pw))
         state = (v[:, :2] @ pv[:, pick]).astype(complex)
     state /= np.linalg.norm(state)
-    residual = np.linalg.norm(ham.matrix @ state - energy * state)
+    residual = np.linalg.norm(ham @ state - energy * state)
     if residual > 1e-8:
         raise ConvergenceError(f"eigenpair residual {residual:.3e}")
     return energy, state
@@ -130,11 +116,9 @@ def ground_state_in_parity(ham, parity):
     """(energy, state) of the lowest eigenstate with prod sigma_z = parity."""
     if parity not in (-1, 1):
         raise ValueError(f"parity must be +-1, got {parity}")
-    pz = spin_parity_diagonal(ham.length)
-    keep = np.nonzero(pz == parity)[0]
-    sub = ham.matrix[keep][:, keep]
-    w, v = _lowest_eigenpairs(sub, k=1)
-    state = np.zeros(ham.matrix.shape[0], dtype=complex)
+    keep = np.nonzero(spin_parity_diagonal(_length(ham)) == parity)[0]
+    w, v = _lowest_eigenpairs(ham[keep][:, keep], k=1)
+    state = np.zeros(ham.shape[0], dtype=complex)
     state[keep] = v[:, 0]
     state /= np.linalg.norm(state)
     return float(w[0]), state
@@ -142,7 +126,7 @@ def ground_state_in_parity(ham, parity):
 
 def reference_state(ham):
     """Lowest eigenstate of the sector the analytic correlators describe."""
-    return ground_state_in_parity(ham, parity=(-1) ** ham.length)
+    return ground_state_in_parity(ham, parity=(-1) ** _length(ham))
 
 
 def reduced_state(state, sites, length=None):

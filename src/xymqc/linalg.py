@@ -40,6 +40,8 @@ class DensityMatrix:
 
     def validate(self):
         m = self.matrix
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix has non-finite entries")
         herm_dev = np.max(np.abs(m - m.conj().T))
         if herm_dev > HERMITICITY_TOL:
             raise NotHermitianError(f"deviation from Hermiticity {herm_dev:.3e}")

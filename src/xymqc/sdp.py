@@ -15,6 +15,7 @@ of 8x8 Hermitian matrices (64-dimensional, or the 36-dimensional symmetric
 subspace when the data are real).  Everything is deterministic.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,11 +54,13 @@ class VerificationReport:
     optimal: bool
 
 
+@functools.cache
 def hermitian_basis(dim, real_only=False):
     """Orthonormal (Frobenius) basis of Hermitian dim x dim matrices.
 
     With real_only, the basis spans real symmetric matrices, which is
     sufficient whenever the problem data are real (conjugation symmetry).
+    The returned stack is cached, shared between calls and read-only.
     """
     dtype = float if real_only else complex
     basis = []
@@ -77,7 +80,9 @@ def hermitian_basis(dim, real_only=False):
                 e[i, j] = -1.0j * inv_sqrt2
                 e[j, i] = 1.0j * inv_sqrt2
                 basis.append(e)
-    return np.array(basis)
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
 
 
 def _nt_scaling(x, z):
@@ -104,16 +109,6 @@ def _max_step(block, dblock):
     return min(1.0, -_STEP_FRACTION / lam_min)
 
 
-_BASIS_CACHE = {}
-
-
-def _cached_basis(dim, real_only):
-    key = (dim, real_only)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = hermitian_basis(dim, real_only)
-    return _BASIS_CACHE[key]
-
-
 class KappaProgram:
     """Problem data plus the linear maps between the variable and blocks."""
 
@@ -132,10 +127,8 @@ class KappaProgram:
             self.rho_pt = self.rho_pt.real
         self.pt_dims = (d_a, d_b)
         self.pt_norm = trace_norm(self.rho_pt)
-        self.basis = _cached_basis(self.dim, self.real_data)
-        self.basis_pt = np.array(
-            [partial_transpose(e, self.pt_dims, 0) for e in self.basis]
-        )
+        self.basis = hermitian_basis(self.dim, self.real_data)
+        self.basis_pt = partial_transpose(self.basis, self.pt_dims, 0)
         # flattened views used for fast trace contractions
         self._basis_flat = self.basis.reshape(len(self.basis), -1)
         self._basis_flat_conj = self._basis_flat.conj()

@@ -11,19 +11,32 @@ are evaluated in the thermodynamic limit by a fixed 20-point Gauss-Legendre
 rule on panels graded toward the gap-closing momenta, with the closed form
 at gamma = 0, and for finite odd L by the momentum sum.  Either way all
 g(-rmax..rmax) of a parameter point come from one vectorised call
-(`correlators`), and every element of the three-spin reduced state is
-assembled from them through Wick-theorem determinants.
+(`correlators`).
+
+The three-spin reduced state on sites (i-alpha, i, i+beta) is the Pauli
+expansion rho = (1/8) (I + sum_P <P> P).  P runs over the 19 strings whose
+expectation can be nonzero: Z on any sites, plus at most one XX or YY pair.
+Each <P> is a Wick determinant (Lieb, Schultz & Mattis 1961; Barouch &
+McCoy 1971) built by one sign rule:
+
+- an XX pair on sites p < q gives A = p+1..q and B = p..q-1; YY swaps A, B;
+- a Z strictly inside the pair's span removes its site from both lists;
+- any other Z adds its site to both lists and multiplies the sign by -1;
+- <P> = sign * det[g(b_j - a_i)] over the sorted lists.
+
+All 19 determinants of a state come from one stacked `np.linalg.det` call.
 
 Basis conventions: |0> is the sigma_z = +1 eigenstate, the basis index of a
 spin triple is 4*s1 + 2*s2 + s3 (leftmost site most significant).  At
 lambda=0 the ground state is |111>.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -38,8 +51,8 @@ class ModelParams:
     length: int | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.length is not None:
@@ -186,137 +199,70 @@ def correlators(params, rmax):
     return g_finite(lags, params)
 
 
-def _wick_det(gv, a_sites, b_sites, sign):
-    """sign * det[ g(b_j - a_i) ] over ascending A/B site lists.
+# The 19 strings of the Pauli expansion, one letter per site.
+_STRINGS = ("ZII", "IZI", "IIZ", "ZZI", "ZIZ", "IZZ", "ZZZ", "XXI", "YYI", "XXZ",
+            "YYZ", "XIX", "YIY", "XZX", "YZY", "IXX", "IYY", "ZXX", "ZYY")
+_PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+          "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+# Every string holds an even number of Y, so its 8x8 matrix is real.
+_STRING_MATRICES = np.array(
+    [np.kron(np.kron(_PAULI[a], _PAULI[b]), _PAULI[c]).real for a, b, c in _STRINGS]
+)
 
-    gv holds g(-rmax), ..., g(rmax) as returned by `correlators`.
+
+def _wick_lists(string, sites):
+    """(A, B, sign) with <string> = sign * det[g(b_j - a_i)], by the module's sign rule."""
+    pair = [s for s, op in zip(sites, string) if op in "XY"]
+    a, b, sign = set(), set(), 1.0
+    if pair:
+        p, q = pair
+        a, b = set(range(p + 1, q + 1)), set(range(p, q))
+        if "Y" in string:
+            a, b = b, a
+    for s, op in zip(sites, string):
+        if op == "Z":  # removes s inside the pair's span, adds it anywhere else
+            a, b = a ^ {s}, b ^ {s}
+            if not (pair and pair[0] < s < pair[1]):
+                sign = -sign
+    return sorted(a), sorted(b), sign
+
+
+def _wick_index(a_sites, b_sites, size, rmax):
+    """Indices of g(b_j - a_i) into [g(-rmax..rmax), 0, 1], padded to size x size.
+
+    The padding is an identity block, which leaves the determinant unchanged.
     """
-    lags = np.asarray(b_sites)[None, :] - np.asarray(a_sites)[:, None]
-    return sign * float(np.linalg.det(gv[lags + len(gv) // 2]))
+    index = np.full((size, size), 2 * rmax + 1)
+    np.fill_diagonal(index, 2 * rmax + 2)
+    k = len(a_sites)
+    index[:k, :k] = np.asarray(b_sites)[None, :] - np.asarray(a_sites)[:, None] + rmax
+    return index
 
 
-def corr_xx(gv, dist):
-    """<X_0 X_d> pair correlator."""
-    a = list(range(1, dist + 1))
-    b = list(range(0, dist))
-    return _wick_det(gv, a, b, 1.0)
+def _wick_dets(gv, index):
+    """Determinants of a stack of `_wick_index` matrices over gv = g(-rmax..rmax)."""
+    return np.linalg.det(np.concatenate([gv, [0.0, 1.0]])[index])
 
 
-def corr_yy(gv, dist):
-    """<Y_0 Y_d> pair correlator."""
-    a = list(range(0, dist))
-    b = list(range(1, dist + 1))
-    return _wick_det(gv, a, b, 1.0)
-
-
-def corr_zz(gv, dist):
-    """<Z_0 Z_d> pair correlator."""
-    r0 = len(gv) // 2
-    return gv[r0] ** 2 - gv[r0 + dist] * gv[r0 - dist]
-
-
-def corr_zzz(gv, alpha, beta):
-    """<Z_{-a} Z_0 Z_b> triple correlator."""
-    sites = [-alpha, 0, beta]
-    return _wick_det(gv, sites, sites, -1.0)
-
-
-def corr_xxz(gv, alpha, beta):
-    """<X_{-a} X_0 Z_b> triple correlator."""
-    a = list(range(-alpha + 1, 1)) + [beta]
-    b = list(range(-alpha, 0)) + [beta]
-    return _wick_det(gv, a, b, -1.0)
-
-
-def corr_yyz(gv, alpha, beta):
-    """<Y_{-a} Y_0 Z_b> triple correlator."""
-    a = list(range(-alpha, 0)) + [beta]
-    b = list(range(-alpha + 1, 1)) + [beta]
-    return _wick_det(gv, a, b, -1.0)
-
-
-def corr_zxx(gv, alpha, beta):
-    """<Z_{-a} X_0 X_b>; mirror image of <X X Z> with the roles swapped."""
-    return corr_xxz(gv, beta, alpha)
-
-
-def corr_zyy(gv, alpha, beta):
-    """<Z_{-a} Y_0 Y_b>; mirror image of <Y Y Z>."""
-    return corr_yyz(gv, beta, alpha)
-
-
-def corr_xzx(gv, alpha, beta):
-    """<X_{-a} Z_0 X_b> triple correlator."""
-    a = [s for s in range(-alpha + 1, beta + 1) if s != 0]
-    b = [s for s in range(-alpha, beta) if s != 0]
-    return _wick_det(gv, a, b, 1.0)
-
-
-def corr_yzy(gv, alpha, beta):
-    """<Y_{-a} Z_0 Y_b> triple correlator."""
-    a = [s for s in range(-alpha, beta) if s != 0]
-    b = [s for s in range(-alpha + 1, beta + 1) if s != 0]
-    return _wick_det(gv, a, b, 1.0)
+# 128 keeps all 45 + 66 geometries of `verify` at L = 11 and 13 resident.
+@functools.lru_cache(maxsize=128)
+def _wick_table(alpha, beta):
+    """Read-only (index stack, signs) of the `_STRINGS` determinants at (alpha, beta)."""
+    lists = [_wick_lists(string, (-alpha, 0, beta)) for string in _STRINGS]
+    size = max(len(a) for a, _, _ in lists)
+    index = np.array([_wick_index(a, b, size, alpha + beta) for a, b, _ in lists])
+    signs = np.array([sign for _, _, sign in lists])
+    index.flags.writeable = signs.flags.writeable = False
+    return index, signs
 
 
 def rdm3(geom, params):
     """Three-spin reduced density matrix for sites (i-alpha, i, i+beta)."""
     geom.validate_for(params)
-    al, be = geom.alpha, geom.beta
-    gv = correlators(params, al + be)
-
-    z1 = z2 = z3 = -gv[al + be]           # single-site <Z> = -g(0)
-    z12 = corr_zz(gv, al)                 # sites (i-alpha, i)
-    z13 = corr_zz(gv, al + be)            # sites (i-alpha, i+beta)
-    z23 = corr_zz(gv, be)                 # sites (i, i+beta)
-    zzz = corr_zzz(gv, al, be)
-
-    xx23, yy23 = corr_xx(gv, be), corr_yy(gv, be)
-    xx13, yy13 = corr_xx(gv, al + be), corr_yy(gv, al + be)
-    xx12, yy12 = corr_xx(gv, al), corr_yy(gv, al)
-
-    zxx = corr_zxx(gv, al, be)            # Z on site 1, XX on (2,3)
-    zyy = corr_zyy(gv, al, be)
-    xzx = corr_xzx(gv, al, be)            # X..Z..X across the triple
-    yzy = corr_yzy(gv, al, be)
-    xxz = corr_xxz(gv, al, be)            # XX on (1,2), Z on site 3
-    yyz = corr_yyz(gv, al, be)
-
-    m = np.zeros((8, 8))
-    # Diagonal: (1/8)[1 + sum z_i <Z_i> + sum z_i z_j <Z_i Z_j> + z1 z2 z3 <ZZZ>]
-    for idx in range(8):
-        s = [1.0 - 2.0 * ((idx >> k) & 1) for k in (2, 1, 0)]
-        m[idx, idx] = (
-            1.0
-            + s[0] * z1 + s[1] * z2 + s[2] * z3
-            + s[0] * s[1] * z12 + s[0] * s[2] * z13 + s[1] * s[2] * z23
-            + s[0] * s[1] * s[2] * zzz
-        )
-    # Off-diagonal entries (all real); indices are 0-based positions in the
-    # 8x8 matrix, pattern fixed by parity and reality of the Hamiltonian.
-    m[0, 3] = xx23 + zxx - yy23 - zyy
-    m[1, 2] = xx23 + zxx + yy23 + zyy
-    m[4, 7] = xx23 - zxx - yy23 + zyy
-    m[5, 6] = xx23 - zxx + yy23 - zyy
-    m[0, 5] = xx13 + xzx - yy13 - yzy
-    m[1, 4] = xx13 + xzx + yy13 + yzy
-    m[2, 7] = xx13 - xzx - yy13 + yzy
-    m[3, 6] = xx13 - xzx + yy13 - yzy
-    m[0, 6] = xx12 + xxz - yy12 - yyz
-    m[1, 7] = xx12 - xxz - yy12 + yyz
-    m[2, 4] = xx12 + xxz + yy12 + yyz
-    m[3, 5] = xx12 - xxz + yy12 - yyz
-    m = m + np.triu(m, 1).T
-    return DensityMatrix.from_matrix(m / 8.0, (2, 2, 2))
-
-
-def rdm2(distance, params):
-    """Two-spin reduced density matrix at the given site separation."""
-    if distance < 1:
-        raise ValueError(f"distance must be >= 1, got {distance}")
-    rho3 = rdm3(SpinGeometry(distance, 1), params)
-    mat, dims = partial_trace(rho3.matrix, rho3.dims, keep=[0, 1])
-    return DensityMatrix.from_matrix(mat, dims)
+    index, signs = _wick_table(geom.alpha, geom.beta)
+    values = signs * _wick_dets(correlators(params, geom.span), index)
+    m = (np.eye(8) + np.tensordot(values, _STRING_MATRICES, axes=1)) / 8.0
+    return DensityMatrix.from_matrix(m, (2, 2, 2))
 
 
 def factorization_lambda(gamma):

@@ -45,6 +45,11 @@ class TestUsage:
         assert res.returncode == 2
         assert "alpha+beta" in res.stderr
 
+    def test_non_finite_lambda_rejected(self):
+        for lam in ("nan", "inf"):
+            assert cli.main(["rdm", "--alpha", "1", "--beta", "1", "--lambda", lam,
+                             "--gamma", "0.5", "--infinite"]) == cli.EXIT_USAGE
+
     def test_fit_requires_explicit_chain(self):
         res = run_cli(["fit", "--measure", "n3", "--alpha", "1", "--beta", "1",
                        "--gamma", "0.5"])

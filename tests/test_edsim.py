@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xymqc import edsim
+from xymqc.linalg import partial_trace
 from xymqc.xychain import (
     ModelParams,
     SpinGeometry,
@@ -21,7 +22,7 @@ def test_length_validation():
 def test_free_field_diagonal():
     params = ModelParams(0.0, 1.0, 5)
     ham = edsim.build_hamiltonian(5, params)
-    h = ham.to_dense()
+    h = ham.toarray()
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
     energy, state = edsim.ground_state(ham)
     assert abs(energy + 5.0) < 1e-12
@@ -30,14 +31,14 @@ def test_free_field_diagonal():
 
 def test_hamiltonian_is_real_symmetric():
     params = ModelParams(0.9, 0.3, 7)
-    h = edsim.build_hamiltonian(7, params).to_dense()
+    h = edsim.build_hamiltonian(7, params).toarray()
     assert np.max(np.abs(h - h.T)) == 0.0
     assert np.isrealobj(h)
 
 
 def test_commutes_with_parity():
     params = ModelParams(1.2, 0.7, 7)
-    h = edsim.build_hamiltonian(7, params).matrix
+    h = edsim.build_hamiltonian(7, params)
     p = edsim.spin_parity_diagonal(7)
     hp = h.multiply(p[None, :])  # H P
     ph = h.multiply(p[:, None])  # P H
@@ -56,14 +57,14 @@ def test_ground_state_residual():
     params = ModelParams(1.3, 0.4, 9)
     ham = edsim.build_hamiltonian(9, params)
     energy, state = edsim.ground_state(ham)
-    assert np.linalg.norm(ham.matrix @ state - energy * state) < 1e-9
+    assert np.linalg.norm(ham @ state - energy * state) < 1e-9
 
 
 def test_degeneracy_at_factorization_point():
     gamma = 0.5
     params = ModelParams(factorization_lambda(gamma), gamma, 9)
     ham = edsim.build_hamiltonian(9, params)
-    w, _ = edsim._lowest_eigenpairs(ham.matrix, 2)
+    w, _ = edsim._lowest_eigenpairs(ham, 2)
     assert w[1] - w[0] < 1e-9
     # degeneracy resolution picks the even-parity state
     _, state = edsim.ground_state(ham)
@@ -76,7 +77,7 @@ def test_factorized_pair_are_eigenstates():
         params = ModelParams(factorization_lambda(gamma), gamma, 9)
         ham = edsim.build_hamiltonian(9, params)
         for vec in factorized_pair(9, gamma):
-            hv = ham.matrix @ vec
+            hv = ham @ vec
             energy = np.real(vec.conj() @ hv)
             assert np.linalg.norm(hv - energy * vec) < 1e-8
 
@@ -167,15 +168,27 @@ def test_matrix_free_sizes():
     ham = edsim.build_hamiltonian(13, params)
     energy, state = edsim.ground_state(ham)
     assert abs(energy - edsim.dispersion_ground_energy(13, params)) < 1e-8
-    assert np.linalg.norm(ham.matrix @ state - energy * state) < 1e-8
+    assert np.linalg.norm(ham @ state - energy * state) < 1e-8
 
 
 def test_rdm2_matches_two_site_marginal():
-    from xymqc.xychain import rdm2
-
     params = ModelParams(1.1, 0.6, 9)
     ham = edsim.build_hamiltonian(9, params)
     _, state = edsim.reference_state(ham)
     rho_ed = edsim.reduced_state(state, [0, 2], 9)
-    rho_an = rdm2(2, params)
-    assert np.max(np.abs(rho_ed.matrix - rho_an.matrix)) < 1e-8
+    rho3 = rdm3(SpinGeometry(2, 1), params)
+    rho_an, _ = partial_trace(rho3.matrix, rho3.dims, keep=[0, 1])
+    assert np.max(np.abs(rho_ed.matrix - rho_an)) < 1e-8
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+def test_rdm3_matches_ed_every_geometry(gamma):
+    # gamma = 0 and lambda > 2 lie outside the acceptance oracle's grid
+    for lam in (0.3, 1.3, 2.5):
+        params = ModelParams(lam, gamma, 9)
+        _, state = edsim.reference_state(edsim.build_hamiltonian(9, params))
+        for alpha in range(1, 8):
+            for beta in range(1, 9 - alpha):
+                rho_ed = edsim.reduced_state(state, [0, alpha, alpha + beta], 9)
+                rho_an = rdm3(SpinGeometry(alpha, beta), params)
+                assert np.max(np.abs(rho_ed.matrix - rho_an.matrix)) <= 1e-12, (lam, alpha, beta)

@@ -224,6 +224,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4), (2, 2))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.full((2, 2), np.nan), (2,))
+
     def test_rejects_negative(self):
         with pytest.raises(NotPSDError):
             DensityMatrix(np.diag([1.2, -0.2, 0.0, 0.0]), (2, 2))

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from xymqc import xychain
 from xymqc.linalg import partial_trace
 from xymqc.xychain import (
     ModelParams,
     SpinGeometry,
-    _wick_det,
+    _wick_dets,
+    _wick_index,
     correlators,
     factorization_lambda,
     factorized_pair,
     g_finite,
     g_infinite,
-    rdm2,
     rdm3,
 )
 
@@ -115,6 +116,9 @@ class TestParams:
             ModelParams(1.0, 0.5, 8)
         with pytest.raises(ValueError):
             ModelParams(1.0, 0.5, 3)
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ModelParams(lam, 0.5)
 
     def test_geometry_bounds(self):
         with pytest.raises(ValueError):
@@ -247,14 +251,31 @@ class TestWickDet:
         g = rng.uniform(-0.5, 0.5, size=21)
         m = np.array([[g[j - i + 10] for j in range(10)] for i in range(10)])
         expect = cofactor_det(m.tolist())
-        got = _wick_det(g, list(range(10)), list(range(10)), 1.0)
+        index = _wick_index(range(10), range(10), 10, 10)
+        got = _wick_dets(g, index[None])[0]
         assert abs(got - expect) / abs(expect) < 1e-9
 
     def test_site_lists_index_lags(self):
         gv = np.arange(-5.0, 6.0) ** 3 + 0.5   # distinct g(r), r = -5..5
-        a_sites, b_sites = [-2, 0, 3], [-3, -1, 2]
+        a_sites, b_sites = [-2, 0, 3], [-1, 0, 2]
         m = np.array([[gv[b - a + 5] for b in b_sites] for a in a_sites])
-        assert _wick_det(gv, a_sites, b_sites, -1.0) == -float(np.linalg.det(m))
+        index = _wick_index(a_sites, b_sites, 3, 5)
+        assert np.array_equal(gv[index], m)
+        assert _wick_dets(gv, index[None])[0] == float(np.linalg.det(m))
+
+    def test_identity_padding_keeps_det(self):
+        # a 3x3 matrix padded to 6x6 and stacked with a full 6x6 one
+        gv = np.arange(-5.0, 6.0) ** 3 + 0.5
+        a_sites, b_sites = [-2, 0, 3], [-1, 0, 2]
+        small = np.array([[gv[b - a + 5] for b in b_sites] for a in a_sites])
+        full = np.array([[gv[j - i + 5] for j in range(6)] for i in range(6)])
+        padded = _wick_index(a_sites, b_sites, 6, 5)
+        expect = np.eye(6)
+        expect[:3, :3] = small
+        assert np.array_equal(np.concatenate([gv, [0.0, 1.0]])[padded], expect)
+        dets = _wick_dets(gv, np.array([padded, _wick_index(range(6), range(6), 6, 5)]))
+        for got, m in zip(dets, (small, full)):
+            assert abs(got - np.linalg.det(m)) <= 1e-12 * abs(np.linalg.det(m))
 
 
 class TestImport:
@@ -315,25 +336,50 @@ class TestRdm3:
         with pytest.raises(ValueError):
             rdm3(SpinGeometry(5, 4), ModelParams(1.0, 0.5, 9))
 
+    def test_verify_geometries_stay_cached(self):
+        # `verify` at L = 11 and then L = 13 must not evict its own tables
+        geoms = [(a, b) for L in (11, 13) for a in range(1, L) for b in range(1, L - a)]
+        xychain._wick_table.cache_clear()
+        for _ in range(2):
+            for a, b in geoms:
+                xychain._wick_table(a, b)
+        assert xychain._wick_table.cache_info().misses == len(set(geoms))
+
+    def test_one_det_and_one_correlators_call(self, monkeypatch):
+        calls = {"det": 0, "correlators": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
+        monkeypatch.setattr(xychain, "correlators", counting("correlators", correlators))
+        rdm3(SpinGeometry(4, 3), ModelParams(1.1, 0.5, 41))
+        assert calls == {"det": 1, "correlators": 1}
+
+
+def pair_state(distance, params):
+    """Two-spin reduced matrix at the given separation, as a marginal of rdm3."""
+    rho3 = rdm3(SpinGeometry(distance, 1), params)
+    return partial_trace(rho3.matrix, rho3.dims, keep=[0, 1])[0]
+
 
 class TestRdm2:
     def test_free_field(self):
-        rho = rdm2(1, ModelParams(0.0, 0.5))
+        rho = pair_state(1, ModelParams(0.0, 0.5))
         expect = np.zeros((4, 4))
         expect[3, 3] = 1.0
-        assert np.max(np.abs(rho.matrix - expect)) < 1e-12
+        assert np.max(np.abs(rho - expect)) < 1e-12
 
     def test_marginal_independent_of_third_site(self):
         params = ModelParams(1.1, 0.7)
-        base = rdm2(2, params).matrix
+        base = pair_state(2, params)
         for beta in (1, 2, 3, 4):
             rho3 = rdm3(SpinGeometry(2, beta), params)
             marg, _ = partial_trace(rho3.matrix, rho3.dims, keep=[0, 1])
             assert np.max(np.abs(marg - base)) < 1e-12
-
-    def test_distance_validation(self):
-        with pytest.raises(ValueError):
-            rdm2(0, ModelParams(1.0, 0.5))
 
 
 class TestFactorization:
