@@ -30,6 +30,17 @@ class FactorizationNotFound(RuntimeError):
     pass
 
 
+class NonConvergedPoint(RuntimeError):
+    """An E_kappa solve at a grid point did not converge."""
+
+    def __init__(self, lam, status):
+        self.lam = float(lam)
+        self.status = status
+        super().__init__(
+            f"E_kappa solve did not converge at lambda={self.lam!r}: {status}"
+        )
+
+
 @dataclass
 class FitResult:
     slope: float
@@ -69,6 +80,12 @@ class SweepTable:
     def column(self, name):
         return self.columns[name]
 
+    def require_converged(self):
+        """Raise NonConvergedPoint at the first row whose solves did not converge."""
+        for lam, status in zip(self.lambdas, self.columns["status"]):
+            if status != "ok":
+                raise NonConvergedPoint(lam, status)
+
 
 def _solve_ppt(rho, dims, center):
     return sdp.e_ppt(rho, dims, center)
@@ -94,6 +111,14 @@ def measure_point(lam, gamma, alpha, beta, length=None, with_sdp=True):
         "status": rec.sdp_status,
     }
     return out
+
+
+def _converged_point(lam, gamma, alpha, beta, length, with_sdp):
+    """measure_point, or NonConvergedPoint where an E_kappa solve failed."""
+    row = measure_point(lam, gamma, alpha, beta, length, with_sdp=with_sdp)
+    if row["status"] != "ok":
+        raise NonConvergedPoint(lam, row["status"])
+    return row
 
 
 def _point_worker(args):
@@ -356,7 +381,7 @@ def measure_evaluator(column, gamma, alpha, beta, length=None):
     with_sdp = column in SDP_COLUMNS
 
     def evaluate(lam):
-        return measure_point(lam, gamma, alpha, beta, length, with_sdp=with_sdp)[column]
+        return _converged_point(lam, gamma, alpha, beta, length, with_sdp)[column]
 
     return evaluate
 
@@ -446,6 +471,7 @@ def bound_entanglement_scan(gamma, alpha, beta, lambdas, length=None,
     """
     table = sweep(gamma, alpha, beta, lambdas, length=length, with_sdp=True,
                   workers=workers)
+    table.require_converged()
     neg_outer = table.columns["neg_i"]
     tau = table.columns["tau_ub"]
     evidence = (
@@ -456,7 +482,7 @@ def bound_entanglement_scan(gamma, alpha, beta, lambdas, length=None,
     flags = (neg_outer < neg_threshold) & evidence
 
     def flag_at(lam):
-        row = measure_point(lam, gamma, alpha, beta, length, with_sdp=True)
+        row = _converged_point(lam, gamma, alpha, beta, length, with_sdp=True)
         ev = (
             row["tau_ub"] > tau_threshold
             or row["neg_j"] > neg_threshold

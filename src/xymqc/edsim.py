@@ -11,8 +11,6 @@ Site 0 is the most significant bit of the basis index; |0> is sigma_z = +1.
 """
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
 from .linalg import DensityMatrix
 
@@ -36,6 +34,10 @@ def _length(ham):
 
 def build_hamiltonian(length, params):
     """H = -lambda sum[(1+g)/2 XX + (1-g)/2 YY] + sum Z, site L+1 = 1, as CSR."""
+    # scipy is imported here and in _lowest_eigenpairs only, so that the
+    # package without exact diagonalization needs numpy alone
+    from scipy import sparse
+
     if not (5 <= length <= 14) or length % 2 == 0:
         raise ValueError(f"length must be odd in [5, 14], got {length}")
     lam, gamma = params.lam, params.gamma
@@ -79,6 +81,8 @@ def _lowest_eigenpairs(matrix, k, maxiter=None):
     if dim <= 512:
         w, v = np.linalg.eigh(matrix.toarray())
         return w[:k], v[:, :k]
+    from scipy.sparse.linalg import eigsh
+
     try:
         w, v = eigsh(matrix, k=k, which="SA", v0=v0, maxiter=maxiter)
     except Exception as exc:  # pragma: no cover - diagnostic path

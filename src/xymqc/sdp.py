@@ -8,18 +8,31 @@ where T_A transposes the first (2-dimensional) factor.  `e_ppt` first tests
 the binegativity certificate |rho^{T_A}|^{T_A} >= 0; where it holds, S =
 |rho^{T_A}|^{T_A} is optimal and E_kappa is the log-negativity
 log2 ||rho^{T_A}||_1 in closed form (Wang & Wilde, PRL 125, 040502 (2020)).
-Only where it fails does the semidefinite program run.  Its solver is a
-feasible-start primal-dual path-following method with Nesterov-Todd scaling
-on the three Hermitian blocks; the variable space is the real vector space
-of 8x8 Hermitian matrices (64-dimensional, or the 36-dimensional symmetric
-subspace when the data are real).  Everything is deterministic.
+Only where it fails does the semidefinite program run.
+
+Its solver is a feasible-start primal-dual path-following method with
+Nesterov-Todd scaling.  The three constraint blocks are held as one stack
+of shape (k, d, d), and each iteration makes one `eigh` of the stacked
+slacks and duals, which gives the slack inverses, the dual square roots of
+the scaling and the step lengths of both the predictor and the corrector.
+
+Every `rdm3` state commutes with the parity P = Z x Z x Z (its Pauli
+expansion holds only Z, XX and YY strings), and P commutes with T_A.  Then
+P S P is feasible whenever S is, so the optimum can be taken P-invariant
+(symmetry reduction of SDPs: Gatermann & Parrilo, J. Pure Appl. Algebra
+192, 95 (2004)).  S and the three blocks split into even- and odd-parity
+4x4 blocks on the basis states {0, 3, 5, 6} and {1, 2, 4, 7}: k = 6, d = 4,
+and the variable space is spanned by the 20 real symmetric basis elements
+supported on those blocks (32 Hermitian ones for complex data).  Inputs
+without the symmetry run through the same loop with k = 3, d = 8 and the
+whole space of 8x8 Hermitian matrices (64-dimensional, or 36-dimensional
+for real data).  Everything is deterministic.
 """
 
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from .linalg import partial_transpose, trace_norm
 from .measures import _permute_to_front
@@ -30,6 +43,14 @@ MAX_ITERS = 200
 # the size of the SDP's own duality gap.
 CERTIFICATE_TOL = 1e-10
 _STEP_FRACTION = 0.98
+# largest entry of rho^{T_A} between the two parity sectors that still counts
+# as P-invariant
+PARITY_TOL = 1e-14
+# the parity of the number of 1 bits of each three-qubit basis state; the
+# even and odd sectors are {0, 3, 5, 6} and {1, 2, 4, 7}
+_PARITY = np.array([bin(i).count("1") % 2 for i in range(8)])
+_SECTORS = (np.flatnonzero(_PARITY == 0), np.flatnonzero(_PARITY == 1))
+_CROSS = _PARITY[:, None] != _PARITY[None, :]
 
 
 @dataclass
@@ -39,7 +60,10 @@ class SdpSolution:
     s_matrix: np.ndarray = field(repr=False)
     duality_gap: float
     iterations: int
-    status: str                      # converged | max-iterations | stalled | infeasible-numerics
+    # converged | max-iterations | stalled | infeasible-numerics |
+    # lstsq-fallback (converged, but a Schur system was not positive definite
+    # and was solved by least squares)
+    status: str
     dual_blocks: list = field(repr=False, default=None)
     pt_trace_norm: float = 0.0
 
@@ -85,70 +109,79 @@ def hermitian_basis(dim, real_only=False):
     return basis
 
 
-def _nt_scaling(x, z):
-    """Nesterov-Todd point W with W Z W = X, for Hermitian PD X, Z."""
-    wx, vx = np.linalg.eigh(x)
-    rx = (vx * np.sqrt(np.clip(wx, 1e-300, None))) @ vx.conj().T  # X^{1/2}
-    inner = rx @ z @ rx
-    wi, vi = np.linalg.eigh(inner)
-    inner_isqrt = (vi / np.sqrt(np.clip(wi, 1e-300, None))) @ vi.conj().T
-    w = rx @ inner_isqrt @ rx
-    return 0.5 * (w + w.conj().T)
+def _dag(m):
+    return np.swapaxes(m, -1, -2).conj()
 
 
-def _max_step(block, dblock):
-    """Largest t <= 1 with block + t*dblock staying PSD (fraction applied)."""
-    w, v = np.linalg.eigh(block)
-    if w[0] <= 0.0:
-        return 0.0
-    scaled = v / np.sqrt(w)
-    t = scaled.conj().T @ dblock @ scaled
-    lam_min = float(np.linalg.eigvalsh(0.5 * (t + t.conj().T))[0])
-    if lam_min >= 0:
-        return 1.0
-    return min(1.0, -_STEP_FRACTION / lam_min)
+def _cut_pt(rho, dims, center):
+    """(rho^{T_A}, (d_A, d_B)) across the cut center | rest, center first."""
+    dims = tuple(dims)
+    rho_front = _permute_to_front(np.asarray(rho, dtype=complex), dims, center)
+    pt_dims = (dims[center], rho_front.shape[0] // dims[center])
+    return partial_transpose(rho_front, pt_dims, 0), pt_dims
+
+
+def _has_parity(rho_pt):
+    """True when rho^{T_A} commutes with Z x Z x Z (no cross-sector entry)."""
+    return rho_pt.shape == _CROSS.shape and np.max(np.abs(rho_pt[_CROSS])) <= PARITY_TOL
+
+
+@functools.cache
+def _block_basis(dim, pt_dims, real_data, parity):
+    """(ops, sectors): the images of the variable basis in the block stack.
+
+    ops[a] is the (k, d, d) stack [F_a, F_a^{T_A}, F_a^{T_A}], each block cut
+    into the sectors' diagonal blocks.  With parity, the F_a are the
+    elements of `hermitian_basis` supported on the two parity sectors
+    (k = 6, d = 4); otherwise all of them, on one sector (k = 3, d = dim).
+    The returned stack is cached, shared between calls and read-only.
+    """
+    basis = hermitian_basis(dim, real_data)
+    if parity:
+        basis = basis[~np.any(basis[:, _CROSS], axis=1)]
+        sectors = _SECTORS
+    else:
+        sectors = (np.arange(dim),)
+    basis_pt = partial_transpose(basis, pt_dims, 0)
+    ops = np.stack(
+        [m[:, s[:, None], s] for m in (basis, basis_pt, basis_pt) for s in sectors],
+        axis=1,
+    )
+    ops.flags.writeable = False
+    return ops, sectors
 
 
 class KappaProgram:
-    """Problem data plus the linear maps between the variable and blocks."""
+    """One cut's program: the variable basis images and rho^{T_A} by sector."""
 
     def __init__(self, rho, dims, center):
-        dims = tuple(dims)
-        rho = np.asarray(rho, dtype=complex)
-        self.real_data = bool(np.max(np.abs(rho.imag)) < 1e-14)
-        if self.real_data:
-            rho = rho.real.astype(float)
-        rho_front = _permute_to_front(rho, dims, center)
-        d_a = dims[center]
-        d_b = rho.shape[0] // d_a
-        self.dim = rho.shape[0]
-        self.rho_pt = partial_transpose(rho_front, (d_a, d_b), 0)
-        if self.real_data:
-            self.rho_pt = self.rho_pt.real
-        self.pt_dims = (d_a, d_b)
-        self.pt_norm = trace_norm(self.rho_pt)
-        self.basis = hermitian_basis(self.dim, self.real_data)
-        self.basis_pt = partial_transpose(self.basis, self.pt_dims, 0)
-        # flattened views used for fast trace contractions
-        self._basis_flat = self.basis.reshape(len(self.basis), -1)
-        self._basis_flat_conj = self._basis_flat.conj()
-        self._basis_pt_flat_conj = self.basis_pt.reshape(len(self.basis), -1).conj()
-
-    def pt(self, m):
-        return partial_transpose(m, self.pt_dims, 0)
-
-    def blocks_from_s(self, s):
-        spt = self.pt(s)
-        return [s, spt - self.rho_pt, spt + self.rho_pt]
-
-    def adjoint(self, blocks):
-        """A*(X) = X1 + PT(X2) + PT(X3) as a Hermitian matrix."""
-        return blocks[0] + self.pt(blocks[1]) + self.pt(blocks[2])
-
-    def dual_objective(self, blocks):
-        return float(
-            np.real(np.trace(self.rho_pt @ blocks[1]) - np.trace(self.rho_pt @ blocks[2]))
+        rho_pt, pt_dims = _cut_pt(rho, dims, center)
+        real_data = bool(np.max(np.abs(rho_pt.imag)) < 1e-14)
+        if real_data:
+            rho_pt = rho_pt.real
+        self.dim = rho_pt.shape[0]
+        self.pt_norm = trace_norm(rho_pt)
+        self.ops, self.sectors = _block_basis(
+            self.dim, pt_dims, real_data, _has_parity(rho_pt)
         )
+        r = np.stack([rho_pt[np.ix_(s, s)] for s in self.sectors])
+        self.offset = np.concatenate([np.zeros_like(r), -r, r])
+        self.flat = self.ops.reshape(len(self.ops), -1)
+        self.flat_conj = self.flat.conj()
+        # Tr S = unit @ s for the coordinates s of S
+        p = len(self.sectors)
+        self.unit = np.real(np.trace(self.ops[:, :p], axis1=-2, axis2=-1).sum(axis=1))
+
+    def blocks(self, s):
+        """[S, S^T - rho^T, S^T + rho^T] by sector, for the coordinates s of S."""
+        return (s @ self.flat).reshape(self.offset.shape) + self.offset
+
+    def full(self, blocks):
+        """The dim x dim matrix with the sectors' diagonal blocks `blocks`."""
+        out = np.zeros((self.dim, self.dim), dtype=blocks.dtype)
+        for block, s in zip(blocks, self.sectors):
+            out[np.ix_(s, s)] = block
+        return out
 
 
 def solve_kappa(rho, dims=(2, 2, 2), center=0, gap_tol=GAP_TOL, max_iters=MAX_ITERS):
@@ -157,142 +190,151 @@ def solve_kappa(rho, dims=(2, 2, 2), center=0, gap_tol=GAP_TOL, max_iters=MAX_IT
 
 
 def _solve_program(prog, gap_tol=GAP_TOL, max_iters=MAX_ITERS):
-    n = prog.dim
-    m_var = len(prog.basis)  # real dimension of the Hermitian variable space
+    k, d = prog.ops.shape[1:3]
+    p = len(prog.sectors)
 
-    dtype = float if prog.real_data else complex
-    s = (prog.pt_norm + 1.0) * np.eye(n, dtype=dtype)
-    z_blocks = prog.blocks_from_s(s)
-    x_blocks = [np.eye(n, dtype=dtype) / 3.0 for _ in range(3)]
+    s = (prog.pt_norm + 1.0) * prog.unit
+    z = prog.blocks(s)
+    x = np.broadcast_to(np.eye(d, dtype=prog.ops.dtype) / 3.0, (k, d, d)).copy()
 
     status = "max-iterations"
+    fallback = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        gap = sum(_inner(x, z) for x, z in zip(x_blocks, z_blocks))
+        gap = _inner(x, z)
         if gap < gap_tol:
             status = "converged"
             break
-        mu = gap / (3.0 * n)
+        mu = gap / (k * d)
 
         try:
-            w_blocks = [_nt_scaling(x, z) for x, z in zip(x_blocks, z_blocks)]
-            z_invs = [np.linalg.inv(z) for z in z_blocks]
-            schur = _factor_schur(prog, w_blocks, m_var)
+            # one decomposition of [Z; X] serves Z^-1, X^1/2 and both step tests
+            w_eig, v = np.linalg.eigh(np.concatenate([z, x]))
+            if w_eig[:, 0].min() <= 0.0:
+                status = "stalled"  # an iterate left the interior: no step is possible
+                break
+            root = np.sqrt(w_eig)[:, None, :]
+            scaled = v / root
+            z_inv = scaled[:k] @ _dag(scaled[:k])
+            w = _nt_scaling((v[k:] * root[k:]) @ _dag(v[k:]), z)
+            schur = _SchurFactor(prog, w)
+            fallback |= schur.l_inv is None
 
             # affine direction fixes the centering weight
-            _, dz_aff, dx_aff = _newton_step(
-                prog, x_blocks, z_invs, w_blocks, schur, 0.0
-            )
-            a_p = min(_max_step(z, dz) for z, dz in zip(z_blocks, dz_aff))
-            a_d = min(_max_step(x, dx) for x, dx in zip(x_blocks, dx_aff))
-            gap_aff = sum(
-                _inner(x + a_d * dx, z + a_p * dz)
-                for x, dx, z, dz in zip(x_blocks, dx_aff, z_blocks, dz_aff)
-            )
+            _, dz_aff, dx_aff = _newton_step(prog, x, z_inv, w, schur, 0.0)
+            a_p, a_d = _step_lengths(scaled, np.concatenate([dz_aff, dx_aff]))
+            gap_aff = _inner(x + a_d * dx_aff, z + a_p * dz_aff)
             sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8), 1.0)
 
-            ds, dz_blocks, dx_blocks = _newton_step(
-                prog, x_blocks, z_invs, w_blocks, schur, sigma * mu
-            )
+            ds, dz, dx = _newton_step(prog, x, z_inv, w, schur, sigma * mu)
         except np.linalg.LinAlgError:
             status = "infeasible-numerics"
             break
 
-        alpha_p = min(_max_step(z, dz) for z, dz in zip(z_blocks, dz_blocks))
-        alpha_d = min(_max_step(x, dx) for x, dx in zip(x_blocks, dx_blocks))
+        alpha_p, alpha_d = _step_lengths(scaled, np.concatenate([dz, dx]))
         if min(alpha_p, alpha_d) < 1e-13:
             status = "stalled"
             break
         s = s + alpha_p * ds
-        z_blocks = prog.blocks_from_s(s)
-        x_blocks = [
-            0.5 * ((x + alpha_d * dx) + (x + alpha_d * dx).conj().T)
-            for x, dx in zip(x_blocks, dx_blocks)
-        ]
+        z = prog.blocks(s)
+        x = x + alpha_d * dx
+        x = 0.5 * (x + _dag(x))
 
-    gap = sum(_inner(x, z) for x, z in zip(x_blocks, z_blocks))
-    optimum = float(np.real(np.trace(s)))
+    if status == "converged" and fallback:
+        status = "lstsq-fallback"
+    optimum = float(prog.unit @ s)
     return SdpSolution(
         optimum=optimum,
         e_kappa=float(np.log2(optimum)),
-        s_matrix=s,
-        duality_gap=gap,
+        s_matrix=prog.full(z[:p]),
+        duality_gap=_inner(x, z),
         iterations=iters,
         status=status,
-        dual_blocks=x_blocks,
+        dual_blocks=[prog.full(x[i * p:(i + 1) * p]) for i in range(3)],
         pt_trace_norm=prog.pt_norm,
     )
 
 
+def _nt_scaling(rx, z):
+    """Nesterov-Todd points W with W Z W = X, from the roots rx = X^{1/2}."""
+    wi, vi = np.linalg.eigh(rx @ z @ rx)
+    inner_isqrt = (vi / np.sqrt(np.clip(wi, 1e-300, None))[:, None, :]) @ _dag(vi)
+    w = rx @ inner_isqrt @ rx
+    return 0.5 * (w + _dag(w))
+
+
+def _step_lengths(scaled, d):
+    """(primal, dual) step lengths t <= 1 keeping [Z; X] + t*d PSD.
+
+    `scaled` holds the eigenvectors of the positive definite blocks of
+    [Z; X], each divided by the square root of its eigenvalue, so that a
+    block plus t times its direction is PSD iff I + t * scaled^H d scaled
+    is.  The fraction _STEP_FRACTION of the step to the boundary is taken.
+    """
+    t = _dag(scaled) @ d @ scaled
+    lam_min = np.linalg.eigvalsh(0.5 * (t + _dag(t)))[:, 0]
+    steps = _STEP_FRACTION / np.maximum(-lam_min, _STEP_FRACTION)
+    k = len(steps) // 2
+    return float(steps[:k].min()), float(steps[k:].min())
+
+
 class _SchurFactor:
-    def __init__(self, matrix):
-        self.matrix = matrix
-        if not np.all(np.isfinite(matrix)):
+    """M_ab = sum_k Re Tr(F_a^k W_k F_b^k W_k), from its Cholesky factor L.
+
+    An M that is not positive definite is solved by least squares instead;
+    `l_inv` (the inverse of L) is then None.
+    """
+
+    def __init__(self, prog, w):
+        wbw = (w @ prog.ops @ w).reshape(len(prog.ops), -1)
+        m = np.real(prog.flat_conj @ wbw.T)
+        self.matrix = 0.5 * (m + m.T)
+        if not np.all(np.isfinite(self.matrix)):
             raise np.linalg.LinAlgError("non-finite Schur complement")
         try:
-            self._cho = sla.cho_factor(matrix, check_finite=False)
-        except sla.LinAlgError:
-            self._cho = None
+            self.l_inv = np.linalg.inv(np.linalg.cholesky(self.matrix))
+        except np.linalg.LinAlgError:
+            self.l_inv = None
 
     def solve(self, rhs):
-        if self._cho is not None:
-            return sla.cho_solve(self._cho, rhs, check_finite=False)
-        return np.linalg.lstsq(self.matrix, rhs, rcond=None)[0]
+        if self.l_inv is None:
+            return np.linalg.lstsq(self.matrix, rhs, rcond=None)[0]
+        return self.l_inv.T @ (self.l_inv @ rhs)
 
 
 def _inner(x, z):
-    """Re Tr(x z) for Hermitian blocks without forming the product."""
-    return float(np.real(np.sum(x * z.T)))
+    """Re Tr(x z) summed over a stack of Hermitian blocks."""
+    return float(np.real(np.vdot(z, x)))
 
 
-def _factor_schur(prog, w_blocks, m_var):
-    """Factorized M with M_ab = sum_k Tr(F_a^k W_k F_b^k W_k)."""
-    d = prog.dim
-    d2 = d * d
-    m = np.zeros((m_var, m_var))
-    for k, w in enumerate(w_blocks):
-        first = k == 0
-        b = prog.basis if first else prog.basis_pt
-        b_flat_conj = prog._basis_flat_conj if first else prog._basis_pt_flat_conj
-        # W B_a W for every basis element via two fused matmuls
-        wb = (w @ b.transpose(1, 0, 2).reshape(d, m_var * d)).reshape(
-            d, m_var, d
-        ).transpose(1, 0, 2)
-        wbw = (wb.reshape(m_var * d, d) @ w).reshape(m_var, d2)
-        m += np.real(b_flat_conj @ wbw.T)
-    return _SchurFactor(0.5 * (m + m.T))
-
-
-def _newton_step(prog, x_blocks, z_invs, w_blocks, schur, target):
+def _newton_step(prog, x, z_inv, w, schur, target):
     """NT direction for centering target sigma*mu (0 = affine direction)."""
     # residual R_k = target * Z_k^{-1} - X_k ; solve A*(W dZ W) = A*(R)
-    resid = [target * zi - x for zi, x in zip(z_invs, x_blocks)]
-    rhs_mat = prog.adjoint(resid)
-    rhs = np.real(prog._basis_flat_conj @ rhs_mat.reshape(-1))
-    ds_vec = schur.solve(rhs)
-    ds = (ds_vec @ prog._basis_flat).reshape(prog.dim, prog.dim)
-    ds = 0.5 * (ds + ds.conj().T)
-    ds_pt = prog.pt(ds)
-    dz_blocks = [ds, ds_pt, ds_pt]
-    dx_blocks = [r - w @ dz @ w for r, w, dz in zip(resid, w_blocks, dz_blocks)]
-    dx_blocks = [0.5 * (dx + dx.conj().T) for dx in dx_blocks]
-    return ds, dz_blocks, dx_blocks
+    resid = target * z_inv - x
+    ds = schur.solve(np.real(prog.flat_conj @ resid.reshape(-1)))
+    dz = (ds @ prog.flat).reshape(resid.shape)
+    dx = resid - w @ dz @ w
+    return ds, dz, 0.5 * (dx + _dag(dx))
 
 
 def verify_solution(rho, dims, center, solution, gap_tol=1e-6, feas_tol=1e-8):
-    """Independent feasibility/optimality audit of a returned solution."""
-    prog = KappaProgram(rho, dims, center)
-    z_blocks = prog.blocks_from_s(solution.s_matrix)
-    min_eigs = tuple(float(np.linalg.eigvalsh(z)[0]) for z in z_blocks)
+    """Independent feasibility/optimality audit of a returned solution.
+
+    It works on the full matrices, not on the solver's reduced blocks.
+    """
+    rho_pt, pt_dims = _cut_pt(rho, dims, center)
+    s = solution.s_matrix
+    s_pt = partial_transpose(s, pt_dims, 0)
+    min_eigs = tuple(
+        float(np.linalg.eigvalsh(z)[0]) for z in (s, s_pt - rho_pt, s_pt + rho_pt)
+    )
     if solution.dual_blocks is not None:
-        dual_min = tuple(
-            float(np.linalg.eigvalsh(x)[0]) for x in solution.dual_blocks
-        )
-        resid = prog.adjoint(solution.dual_blocks) - np.eye(prog.dim)
+        x1, x2, x3 = solution.dual_blocks
+        dual_min = tuple(float(np.linalg.eigvalsh(x)[0]) for x in (x1, x2, x3))
+        resid = x1 + partial_transpose(x2 + x3, pt_dims, 0) - np.eye(len(s))
         dual_resid = float(np.linalg.norm(resid))
-        gap = float(np.real(np.trace(solution.s_matrix))) - prog.dual_objective(
-            solution.dual_blocks
-        )
+        dual_objective = np.real(np.trace(rho_pt @ x2) - np.trace(rho_pt @ x3))
+        gap = float(np.real(np.trace(s)) - dual_objective)
     else:
         dual_min, dual_resid, gap = (), np.inf, np.inf
     feasible = all(e >= -feas_tol for e in min_eigs)
@@ -314,10 +356,8 @@ def verify_solution(rho, dims, center, solution, gap_tol=1e-6, feas_tol=1e-8):
 
 def _binegativity(rho, dims, center):
     """(min eigenvalue of |rho^T|^T, ||rho^T||_1) across the cut center | rest."""
-    dims = tuple(dims)
-    rho_front = _permute_to_front(rho, dims, center)
-    pt_dims = (dims[center], rho_front.shape[0] // dims[center])
-    w, v = np.linalg.eigh(partial_transpose(rho_front, pt_dims, 0))
+    rho_pt, pt_dims = _cut_pt(rho, dims, center)
+    w, v = np.linalg.eigh(rho_pt)
     abs_pt = (v * np.abs(w)) @ v.conj().T
     min_eig = float(np.linalg.eigvalsh(partial_transpose(abs_pt, pt_dims, 0))[0])
     return min_eig, float(np.sum(np.abs(w)))

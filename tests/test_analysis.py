@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
-from xymqc import analysis
+from xymqc import analysis, cli, sdp
 from xymqc.analysis import (
     CriticalScan,
     FactorizationNotFound,
+    NonConvergedPoint,
     SweepTable,
     WindowError,
     bound_entanglement_scan,
@@ -323,3 +326,38 @@ class TestIsingPeakOrdering:
         # near the critical point the lower bound is live but below the upper
         k = int(np.argmin(np.abs(grid - 0.95)))
         assert 0.0 < tbl.columns["tau_lb"][k] < tbl.columns["tau_ub"][k]
+
+
+class TestNonConvergedPoint:
+    """A solve cut short at two iterations must not enter a result silently."""
+
+    @pytest.fixture
+    def two_iterations(self, monkeypatch):
+        monkeypatch.setattr(
+            sdp, "solve_kappa", functools.partial(sdp.solve_kappa, max_iters=2)
+        )
+
+    def test_bound_scan_raises(self, two_iterations):
+        with pytest.raises(NonConvergedPoint) as err:
+            bound_entanglement_scan(0.5, 4, 4, [1.15, 1.16, 1.17])
+        assert err.value.lam in (1.15, 1.16, 1.17)
+        assert "max-iterations" in err.value.status
+        assert "lambda=" in str(err.value)
+
+    def test_tau_ub_evaluator_raises(self, two_iterations):
+        with pytest.raises(NonConvergedPoint) as err:
+            analysis.measure_evaluator("tau_ub", 0.5, 4, 4)(1.16)
+        assert err.value.lam == 1.16
+        assert "max-iterations" in err.value.status
+
+    def test_n3_evaluator_needs_no_solve(self, two_iterations):
+        assert analysis.measure_evaluator("n3", 0.5, 4, 4)(1.16) >= 0.0
+
+    def test_cli_exits_nonzero(self, two_iterations, capsys):
+        code = cli.main([
+            "boundscan", "--gamma", "0.5", "--alpha", "4", "--beta", "4",
+            "--infinite", "--lambda-min", "1.15", "--lambda-max", "1.17",
+            "--step", "0.01",
+        ])
+        assert code == cli.EXIT_COMPUTE
+        assert "did not converge" in capsys.readouterr().err

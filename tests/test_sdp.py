@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xymqc import measures, sdp
+from xymqc import analysis, measures, sdp
 from xymqc.linalg import partial_transpose, trace_norm
 from xymqc.xychain import ModelParams, SpinGeometry, rdm3
 
@@ -23,6 +23,23 @@ def random_mixed(rng, rank=None):
 
 def log_neg(rho, center):
     return np.log2(trace_norm(partial_transpose(rho, DIMS3, center)))
+
+
+EDGE_GRIDS = [(4, 4, 1.14, 1.18), (2, 1, 1.09, 1.13)]
+
+
+@pytest.fixture(scope="module")
+def uncertified_edge_cuts():
+    """(rho, center) of every cut of the certificate-edge grids that needs the SDP."""
+    cuts = []
+    for alpha, beta, lam_lo, lam_hi in EDGE_GRIDS:
+        for lam in np.linspace(lam_lo, lam_hi, 41):
+            rho = rdm3(SpinGeometry(alpha, beta), ModelParams(lam, 0.5)).matrix
+            cuts += [
+                (rho, center) for center in range(3)
+                if not sdp.binegativity_is_psd(rho, DIMS3, center)
+            ]
+    return cuts
 
 
 class TestSolveKappa:
@@ -83,14 +100,14 @@ class TestSolveKappa:
         rng = np.random.default_rng(31)
         rho = random_mixed(rng)
         sol = sdp.solve_kappa(rho, DIMS3, 0)
-        prog = sdp.KappaProgram(rho, DIMS3, 0)
         flipped = sdp.KappaProgram(rho, DIMS3, 0)
-        flipped.rho_pt = -flipped.rho_pt
+        # the constant blocks [0, -rho^T, rho^T] become [0, rho^T, -rho^T]
+        flipped.offset = -flipped.offset
         sol2 = sdp._solve_program(flipped)
         assert abs(sol.optimum - sol2.optimum) < 1e-7
 
     def test_step_length_stall_reported(self, monkeypatch):
-        monkeypatch.setattr(sdp, "_max_step", lambda block, dblock: 0.0)
+        monkeypatch.setattr(sdp, "_step_lengths", lambda scaled, d: (0.0, 0.0))
         sol = sdp.solve_kappa(bell_embedded(), DIMS3, 0)
         assert sol.status == "stalled"
         assert sol.iterations == 1
@@ -145,10 +162,7 @@ class TestEppt:
         assert status == "converged"
         assert abs(e) < 1e-7
 
-    @pytest.mark.parametrize(
-        "alpha, beta, lam_lo, lam_hi",
-        [(4, 4, 1.14, 1.18), (2, 1, 1.09, 1.13)],
-    )
+    @pytest.mark.parametrize("alpha, beta, lam_lo, lam_hi", EDGE_GRIDS)
     def test_matches_sdp_across_certificate_edge(self, alpha, beta, lam_lo, lam_hi):
         certified = uncertified = 0
         for lam in np.linspace(lam_lo, lam_hi, 41):
@@ -182,7 +196,7 @@ class TestEppt:
         assert len(calls) == 1
 
     def test_stalled_cut_flags_the_point(self, monkeypatch):
-        monkeypatch.setattr(sdp, "_max_step", lambda block, dblock: 0.0)
+        monkeypatch.setattr(sdp, "_step_lengths", lambda scaled, d: (0.0, 0.0))
         rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
         assert sdp.e_ppt(rho, DIMS3, 1)[1] == "stalled"
         rec = measures.evaluate(rho, DIMS3, solve_ppt=sdp.e_ppt)
@@ -194,3 +208,49 @@ class TestEppt:
         for center in range(3):
             sol = sdp.solve_kappa(rho, DIMS3, center)
             assert sol.optimum >= sol.pt_trace_norm - 1e-6
+
+
+class TestParityReduction:
+    def test_rdm3_cut_takes_parity_path(self):
+        rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
+        prog = sdp.KappaProgram(rho, DIMS3, 1)
+        assert prog.ops.shape == (20, 6, 4, 4)
+
+    def test_complex_state_takes_full_path(self):
+        rho = random_mixed(np.random.default_rng(43))
+        prog = sdp.KappaProgram(rho, DIMS3, 0)
+        assert prog.ops.shape == (64, 3, 8, 8)
+
+    def test_matches_full_path_on_edge_cuts(self, uncertified_edge_cuts, monkeypatch):
+        assert len(uncertified_edge_cuts) == 71
+        reduced = [sdp.solve_kappa(rho, DIMS3, c) for rho, c in uncertified_edge_cuts]
+        monkeypatch.setattr(sdp, "_has_parity", lambda rho_pt: False)
+        for (rho, center), red in zip(uncertified_edge_cuts, reduced):
+            full = sdp.solve_kappa(rho, DIMS3, center)
+            assert sdp.KappaProgram(rho, DIMS3, center).ops.shape[1:] == (3, 8, 8)
+            assert abs(red.e_kappa - full.e_kappa) < 1e-10
+            assert red.iterations == full.iterations
+            assert red.status == full.status == "converged"
+
+    def test_parity_solutions_pass_full_space_audit(self, uncertified_edge_cuts):
+        for rho, center in uncertified_edge_cuts[::5]:
+            sol = sdp.solve_kappa(rho, DIMS3, center)
+            assert sol.s_matrix.shape == (8, 8)
+            assert [x.shape for x in sol.dual_blocks] == [(8, 8)] * 3
+            rep = sdp.verify_solution(rho, DIMS3, center, sol)
+            assert rep.feasible and rep.optimal
+
+
+class TestSchurFallback:
+    def test_lstsq_fallback_reported(self, monkeypatch):
+        def no_cholesky(matrix):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(sdp.np.linalg, "cholesky", no_cholesky)
+        rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
+        assert not sdp.binegativity_is_psd(rho, DIMS3, 1)
+        sol = sdp.solve_kappa(rho, DIMS3, 1)
+        assert sol.status == "lstsq-fallback"
+        row = analysis.measure_point(1.16, 0.5, 4, 4)
+        assert row["status"] != "ok"
+        assert "lstsq-fallback" in row["status"]

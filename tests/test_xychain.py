@@ -287,6 +287,15 @@ class TestImport:
         )
         assert out.stdout.strip() == "False"
 
+    def test_cli_does_not_load_scipy(self):
+        # scipy serves only exact diagonalization, imported where it runs
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import xymqc.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestRdm3:
     def test_free_field_is_all_down(self):
