@@ -247,6 +247,7 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
     lo, hi, step = coarse
     tbl = sweep(gamma, alpha, beta, np.arange(lo, hi + step / 2, step),
                 length=length, with_sdp=with_sdp, workers=workers)
+    tbl.require_converged()
     scan = pseudo_critical(tbl, column)
     stages = [(1e-4, 6e-3)]
     if length >= 300:
@@ -259,6 +260,7 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
                          fine_step)
         tbl = sweep(gamma, alpha, beta, grid, length=length, with_sdp=with_sdp,
                     workers=workers)
+        tbl.require_converged()
         scan = pseudo_critical(tbl, column)
     return scan
 
@@ -421,8 +423,8 @@ def factorization_scaling(gamma, alpha, beta, column, lengths, workers=None):
     lam_f = factorization_lambda(gamma)
     vals, c1 = [], []
     for L in lengths:
-        row = measure_point(lam_f, gamma, alpha, beta, length=int(L),
-                            with_sdp=column in SDP_COLUMNS)
+        row = _converged_point(lam_f, gamma, alpha, beta, int(L),
+                               with_sdp=column in SDP_COLUMNS)
         vals.append(row[column])
         params = ModelParams(lam_f, gamma, int(L))
         rho_nn, pdims = partial_trace(

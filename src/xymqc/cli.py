@@ -24,6 +24,7 @@ from .xychain import (
     factorization_lambda,
     correlators,
     rdm3,
+    rdm3_many,
 )
 
 EXIT_OK = 0
@@ -185,6 +186,7 @@ def cmd_fit(args):
     table = analysis.sweep(args.gamma, args.alpha, args.beta, lambdas,
                            length=length, with_sdp=column in analysis.SDP_COLUMNS,
                            workers=args.workers)
+    table.require_converged()
     fit = analysis.fit_log_divergence(
         table, column, window=(args.window_min, args.window_max), side=side
     )
@@ -275,16 +277,13 @@ def cmd_verify(args):
     params = ModelParams(args.lam, args.gamma, args.length)
     ham = edsim.build_hamiltonian(args.length, params)
     energy, state = edsim.reference_state(ham)
-    worst = 0.0
-    worst_geom = None
-    for alpha in range(1, args.length):
-        for beta in range(1, args.length - alpha):
-            rho_a = rdm3(SpinGeometry(alpha, beta), params)
-            rho_e = edsim.reduced_state(state, [0, alpha, alpha + beta],
-                                        args.length)
-            dev = float(np.max(np.abs(rho_a.matrix - rho_e.matrix)))
-            if dev > worst:
-                worst, worst_geom = dev, (alpha, beta)
+    geoms = [SpinGeometry(alpha, beta)
+             for alpha in range(1, args.length) for beta in range(1, args.length - alpha)]
+    rho_a = rdm3_many(geoms, params)
+    rho_e = edsim.reduced_states(state, [[0, g.alpha, g.span] for g in geoms], args.length)
+    dev = np.max(np.abs(rho_a - rho_e), axis=(1, 2))
+    k = int(np.argmax(dev))
+    worst, worst_geom = float(dev[k]), (geoms[k].alpha, geoms[k].beta)
     e_disp = edsim.dispersion_ground_energy(args.length, params)
     e_dev = abs(energy - e_disp)
     print(f"L={args.length} lambda={args.lam} gamma={args.gamma}")

@@ -12,7 +12,7 @@ Site 0 is the most significant bit of the basis index; |0> is sigma_z = +1.
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, validate_density
 
 _LANCZOS_SEED = 20240901
 
@@ -133,25 +133,36 @@ def reference_state(ham):
     return ground_state_in_parity(ham, parity=(-1) ** _length(ham))
 
 
-def reduced_state(state, sites, length=None):
-    """Partial trace of |state><state| keeping the listed sites, in order."""
+def reduced_states(state, site_lists, length=None):
+    """Partial traces of |state><state|, one per list of kept sites, as a
+    validated (n, 2^m, 2^m) stack; every list holds m sites, kept in the
+    listed order (the first listed site is the most significant).
+    """
     state = np.asarray(state)
     if length is None:
         length = int(round(np.log2(state.size)))
-    if len(set(sites)) != len(sites):
-        raise ValueError(f"duplicate sites in {sites}")
-    if any(not 0 <= s < length for s in sites):
-        raise IndexError(f"sites {sites} out of range for L={length}")
+    m = len(site_lists[0])
+    for sites in site_lists:
+        if len(set(sites)) != len(sites):
+            raise ValueError(f"duplicate sites in {sites}")
+        if any(not 0 <= s < length for s in sites):
+            raise IndexError(f"sites {sites} out of range for L={length}")
+        if len(sites) != m:
+            raise ValueError(f"site lists hold {m} and {len(sites)} sites")
     t = state.reshape([2] * length)
-    others = [i for i in range(length) if i not in sites]
-    rho = np.tensordot(t, t.conj(), axes=(others, others))
-    # tensordot leaves kept axes ordered by ascending site; reorder to `sites`
-    kept_sorted = sorted(sites)
-    perm = [kept_sorted.index(s) for s in sites]
-    m = len(sites)
-    rho = np.transpose(rho, perm + [p + m for p in perm])
-    d = 1 << m
-    return DensityMatrix.from_matrix(rho.reshape(d, d), (2,) * m)
+    rho = np.empty((len(site_lists), 1 << m, 1 << m), dtype=complex)
+    for k, sites in enumerate(site_lists):
+        p = np.moveaxis(t, sites, range(m)).reshape(1 << m, -1)
+        rho[k] = p @ p.conj().T
+    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+    validate_density(rho)
+    return rho
+
+
+def reduced_state(state, sites, length=None):
+    """Partial trace of |state><state| keeping the listed sites, in order."""
+    rho = reduced_states(state, [sites], length)[0]
+    return DensityMatrix(rho, (2,) * len(sites), validate=False)
 
 
 def dispersion_ground_energy(length, params):

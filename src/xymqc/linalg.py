@@ -21,13 +21,33 @@ class NotPSDError(ValueError):
     pass
 
 
+def validate_density(m):
+    """Raise unless every matrix of a (d, d) array or (..., d, d) stack is a
+    density matrix: finite, Hermitian, unit trace and PSD.
+
+    The checks run over the whole stack, with one batched `eigvalsh`; each
+    message quotes the worst matrix.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    herm_dev = np.abs(m - np.swapaxes(m, -1, -2).conj()).max()
+    if herm_dev > HERMITICITY_TOL:
+        raise NotHermitianError(f"deviation from Hermiticity {herm_dev:.3e}")
+    tr_dev = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0).max()
+    if tr_dev > HERMITICITY_TOL:
+        raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
+    min_eig = np.linalg.eigvalsh(m)[..., 0].min()
+    if min_eig < -PSD_TOL:
+        raise NotPSDError(f"minimum eigenvalue {min_eig:.3e}")
+
+
 class DensityMatrix:
     """A Hermitian, unit-trace, PSD matrix over a list of subsystem dims."""
 
     def __init__(self, matrix, dims, validate=True):
         matrix = np.asarray(matrix, dtype=complex)
         dims = tuple(int(d) for d in dims)
-        if matrix.shape != (int(np.prod(dims)), int(np.prod(dims))):
+        if matrix.shape != (math.prod(dims), math.prod(dims)):
             raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims}")
         self.matrix = matrix
         self.dims = dims
@@ -39,18 +59,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def validate(self):
-        m = self.matrix
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix has non-finite entries")
-        herm_dev = np.max(np.abs(m - m.conj().T))
-        if herm_dev > HERMITICITY_TOL:
-            raise NotHermitianError(f"deviation from Hermiticity {herm_dev:.3e}")
-        tr_dev = abs(np.trace(m) - 1.0)
-        if tr_dev > HERMITICITY_TOL:
-            raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
-        min_eig = np.linalg.eigvalsh(m)[0]
-        if min_eig < -PSD_TOL:
-            raise NotPSDError(f"minimum eigenvalue {min_eig:.3e}")
+        validate_density(self.matrix)
 
     @classmethod
     def from_matrix(cls, matrix, dims, symmetrize=True, validate=True):

@@ -24,7 +24,8 @@ McCoy 1971) built by one sign rule:
 - any other Z adds its site to both lists and multiplies the sign by -1;
 - <P> = sign * det[g(b_j - a_i)] over the sorted lists.
 
-All 19 determinants of a state come from one stacked `np.linalg.det` call.
+All 19 determinants of a state, or of every geometry at one parameter point
+(`rdm3_many`), come from one stacked `np.linalg.det` call.
 
 Basis conventions: |0> is the sigma_z = +1 eigenstate, the basis index of a
 spin triple is 4*s1 + 2*s2 + s3 (leftmost site most significant).  At
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, validate_density
 
 
 @dataclass(frozen=True)
@@ -244,25 +245,54 @@ def _wick_dets(gv, index):
     return np.linalg.det(np.concatenate([gv, [0.0, 1.0]])[index])
 
 
-# 128 keeps all 45 + 66 geometries of `verify` at L = 11 and 13 resident.
+# Holds the two geometry tuples of `verify` at L = 11 and 13 beside the
+# single geometries that sweeps and tests ask for.
 @functools.lru_cache(maxsize=128)
-def _wick_table(alpha, beta):
-    """Read-only (index stack, signs) of the `_STRINGS` determinants at (alpha, beta)."""
-    lists = [_wick_lists(string, (-alpha, 0, beta)) for string in _STRINGS]
+def _wick_table(geoms):
+    """Read-only (index stack, signs, rmax) of the `_STRINGS` determinants at
+    every (alpha, beta) of the tuple `geoms`.
+
+    All n * 19 matrices share one size and one lag vector g(-rmax..rmax),
+    rmax being the largest span; the index has shape (n * 19, size, size)
+    and the signs (n, 19).  The index is held in the smallest unsigned dtype
+    that reaches 2 * rmax + 2 (one byte up to rmax = 126), which numpy widens
+    as it gathers.
+    """
+    rmax = max(alpha + beta for alpha, beta in geoms)
+    lists = [_wick_lists(string, (-alpha, 0, beta))
+             for alpha, beta in geoms for string in _STRINGS]
     size = max(len(a) for a, _, _ in lists)
-    index = np.array([_wick_index(a, b, size, alpha + beta) for a, b, _ in lists])
-    signs = np.array([sign for _, _, sign in lists])
+    index = np.array([_wick_index(a, b, size, rmax) for a, b, _ in lists],
+                     dtype=np.min_scalar_type(2 * rmax + 2))
+    signs = np.array([sign for _, _, sign in lists]).reshape(len(geoms), len(_STRINGS))
     index.flags.writeable = signs.flags.writeable = False
-    return index, signs
+    return index, signs, rmax
+
+
+def _rdm3_stack(geoms, params):
+    """Unvalidated real (n, 8, 8) stack of the `rdm3_many` states."""
+    for geom in geoms:
+        geom.validate_for(params)
+    index, signs, rmax = _wick_table(tuple((geom.alpha, geom.beta) for geom in geoms))
+    values = signs * _wick_dets(correlators(params, rmax), index).reshape(signs.shape)
+    # exactly symmetric, since every string matrix is
+    return (np.eye(8) + np.tensordot(values, _STRING_MATRICES, axes=1)) / 8.0
+
+
+def rdm3_many(geoms, params):
+    """Validated (n, 8, 8) stack of the three-spin reduced density matrices
+    of every geometry in `geoms` at one parameter point.
+
+    One `correlators` call and one `np.linalg.det` call serve the whole stack.
+    """
+    m = _rdm3_stack(geoms, params)
+    validate_density(m)
+    return m.astype(complex)
 
 
 def rdm3(geom, params):
     """Three-spin reduced density matrix for sites (i-alpha, i, i+beta)."""
-    geom.validate_for(params)
-    index, signs = _wick_table(geom.alpha, geom.beta)
-    values = signs * _wick_dets(correlators(params, geom.span), index)
-    m = (np.eye(8) + np.tensordot(values, _STRING_MATRICES, axes=1)) / 8.0
-    return DensityMatrix.from_matrix(m, (2, 2, 2))
+    return DensityMatrix(_rdm3_stack((geom,), params)[0], (2, 2, 2))
 
 
 def factorization_lambda(gamma):

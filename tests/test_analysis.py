@@ -361,3 +361,30 @@ class TestNonConvergedPoint:
         ])
         assert code == cli.EXIT_COMPUTE
         assert "did not converge" in capsys.readouterr().err
+
+    def test_pseudo_critical_scan_raises(self, two_iterations):
+        # the coarse grid crosses the (4,4) certificate edge, where the SDP runs
+        with pytest.raises(NonConvergedPoint) as err:
+            analysis.scan_pseudo_critical(0.5, 4, 4, 41, "tau_ub",
+                                          coarse=(1.14, 1.18, 0.01))
+        assert 1.14 <= err.value.lam <= 1.18
+        assert "max-iterations" in err.value.status
+
+    def test_fit_cli_exits_nonzero(self, two_iterations, capsys):
+        # the fit grid 1.05..1.22 crosses the same edge
+        code = cli.main([
+            "fit", "--measure", "tau_ub", "--gamma", "0.5", "--alpha", "4",
+            "--beta", "4", "--infinite", "--step", "0.01", "--window-min", "0.15",
+            "--window-max", "0.2", "--side", "above",
+        ])
+        assert code == cli.EXIT_COMPUTE
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_factorization_scaling_raises(self, two_iterations, monkeypatch):
+        # the certificate holds at lambda_f on every finite chain, so it is
+        # switched off here to make the SDP run there
+        monkeypatch.setattr(sdp, "CERTIFICATE_TOL", -np.inf)
+        with pytest.raises(NonConvergedPoint) as err:
+            analysis.factorization_scaling(0.5, 1, 1, "tau_ub", [9, 11])
+        assert err.value.lam == factorization_lambda(0.5)
+        assert "max-iterations" in err.value.status

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from xymqc import cli
+from xymqc import cli, edsim, xychain
 
 ENV = dict(os.environ, SOURCE_DATE_EPOCH="1700000000")
 
@@ -146,6 +146,37 @@ class TestVerify:
                        "--tolerance", "1e-30"])
         assert res.returncode == 1
         assert "FAIL" in res.stdout
+
+    def test_zero_deviation_names_a_geometry(self, monkeypatch, capsys):
+        # ED states equal to the analytic ones: every deviation is exactly 0
+        analytic = {}
+
+        def keep(geoms, params):
+            analytic["stack"] = xychain.rdm3_many(geoms, params)
+            return analytic["stack"]
+
+        monkeypatch.setattr(cli, "rdm3_many", keep)
+        monkeypatch.setattr(edsim, "reduced_states", lambda *args: analytic["stack"])
+        assert cli.main(["verify", "--L", "7", "--lambda", "0.7", "--gamma", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "worst rdm3 deviation  0.000e+00 at m=(1, 1)" in out
+        assert "verify: PASS" in out
+
+    def test_one_correlators_and_one_det_call(self, monkeypatch, capsys):
+        calls = {"det": 0, "correlators": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
+        monkeypatch.setattr(xychain, "correlators",
+                            counting("correlators", xychain.correlators))
+        assert cli.main(["verify", "--L", "11", "--lambda", "0.7", "--gamma", "0.5"]) == 0
+        assert "verify: PASS" in capsys.readouterr().out
+        assert calls == {"det": 1, "correlators": 1}
 
 
 class TestFidelityCmd:

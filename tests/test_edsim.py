@@ -118,6 +118,48 @@ def test_reduced_state_site_order():
     assert rho10[1, 1] == 1.0  # |01>
 
 
+def tensordot_reduced_state(state, sites, length):
+    """|state><state| traced by one tensordot over the other sites, then
+    permuted into the listed order (the former `reduced_state`)."""
+    t = state.reshape([2] * length)
+    others = [i for i in range(length) if i not in sites]
+    rho = np.tensordot(t, t.conj(), axes=(others, others))
+    kept_sorted = sorted(sites)
+    perm = [kept_sorted.index(s) for s in sites]
+    m = len(sites)
+    rho = np.transpose(rho, perm + [p + m for p in perm])
+    return rho.reshape(1 << m, 1 << m)
+
+
+@pytest.mark.parametrize("length", [9, 13])
+def test_reduced_states_match_tensordot(length):
+    params = ModelParams(0.8, 0.6, length)
+    _, state = edsim.reference_state(edsim.build_hamiltonian(length, params))
+    rng = np.random.default_rng(5)
+    state = state * np.exp(1j * rng.uniform(0, 2 * np.pi, state.size))  # complex amplitudes
+    state /= np.linalg.norm(state)
+    for m in (2, 3):
+        lists = [[0, a, a + b][:m] for a in range(1, length) for b in range(1, length - a)]
+        lists += [sites[::-1] for sites in lists[::5]] + [[length - 1, 2, 5][:m]]
+        stack = edsim.reduced_states(state, lists, length)
+        assert stack.shape == (len(lists), 1 << m, 1 << m)
+        for sites, rho in zip(lists, stack):
+            expect = tensordot_reduced_state(state, sites, length)
+            assert np.max(np.abs(rho - expect)) <= 1e-15, sites
+            assert np.array_equal(edsim.reduced_state(state, sites, length).matrix, rho)
+
+
+def test_reduced_states_check_every_list():
+    state = np.zeros(2**5, dtype=complex)
+    state[0] = 1.0
+    with pytest.raises(ValueError):
+        edsim.reduced_states(state, [[0, 1], [2, 2]], 5)
+    with pytest.raises(IndexError):
+        edsim.reduced_states(state, [[0, 1], [2, 5]], 5)
+    with pytest.raises(ValueError):
+        edsim.reduced_states(state, [[0, 1], [2, 3, 4]], 5)
+
+
 def test_reference_sector_matches_analytic_rdm():
     params = ModelParams(1.2, 0.4, 9)
     ham = edsim.build_hamiltonian(9, params)

@@ -10,6 +10,7 @@ from xymqc.linalg import (
     partial_transpose,
     realignment,
     trace_norm,
+    validate_density,
 )
 
 
@@ -237,3 +238,37 @@ class TestDensityMatrix:
         m[0, 1] = 1e-11j  # below validation tolerance after symmetrization
         dm = DensityMatrix.from_matrix(m, (2,))
         assert np.max(np.abs(dm.matrix - dm.matrix.conj().T)) == 0.0
+
+
+class TestValidateDensity:
+    @staticmethod
+    def stack_with(bad, at=3, n=5):
+        rng = np.random.default_rng(9)
+        stack = []
+        for _ in range(n):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = a @ a.conj().T
+            stack.append(rho / np.trace(rho).real)
+        stack[at] = bad
+        return np.array(stack, dtype=complex)
+
+    def test_valid_stack_passes(self):
+        validate_density(self.stack_with(bell_state()))
+
+    def test_non_hermitian_in_stack(self):
+        bad = np.eye(4) / 4.0
+        bad[0, 1] = 0.1
+        with pytest.raises(NotHermitianError, match="1.000e-01"):
+            validate_density(self.stack_with(bad))
+
+    def test_negative_in_stack(self):
+        with pytest.raises(NotPSDError, match="-2.000e-01"):
+            validate_density(self.stack_with(np.diag([1.2, -0.2, 0.0, 0.0])))
+
+    def test_bad_trace_in_stack(self):
+        with pytest.raises(ValueError, match=r"trace deviates from 1 by 3\.000e\+00"):
+            validate_density(self.stack_with(np.eye(4)))
+
+    def test_non_finite_in_stack(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density(self.stack_with(np.full((4, 4), np.nan)))

@@ -20,6 +20,7 @@ from xymqc.xychain import (
     g_finite,
     g_infinite,
     rdm3,
+    rdm3_many,
 )
 
 # structurally nonzero positions of the three-spin reduced matrix (0-based)
@@ -346,13 +347,18 @@ class TestRdm3:
             rdm3(SpinGeometry(5, 4), ModelParams(1.0, 0.5, 9))
 
     def test_verify_geometries_stay_cached(self):
-        # `verify` at L = 11 and then L = 13 must not evict its own tables
-        geoms = [(a, b) for L in (11, 13) for a in range(1, L) for b in range(1, L - a)]
+        # one table per geometry tuple: `verify` at L = 11 and 13 builds two,
+        # and the single geometries that rdm3 keys as 1-tuples evict neither
+        geoms = {L: verify_geometries(L) for L in (11, 13)}
         xychain._wick_table.cache_clear()
         for _ in range(2):
-            for a, b in geoms:
-                xychain._wick_table(a, b)
-        assert xychain._wick_table.cache_info().misses == len(set(geoms))
+            for L, stack in geoms.items():
+                params = ModelParams(0.7, 0.5, L)
+                rdm3_many(stack, params)
+                for geom in stack:
+                    rdm3(geom, params)
+        singles = {(g.alpha, g.beta) for stack in geoms.values() for g in stack}
+        assert xychain._wick_table.cache_info().misses == 2 + len(singles)
 
     def test_one_det_and_one_correlators_call(self, monkeypatch):
         calls = {"det": 0, "correlators": 0}
@@ -367,6 +373,31 @@ class TestRdm3:
         monkeypatch.setattr(xychain, "correlators", counting("correlators", correlators))
         rdm3(SpinGeometry(4, 3), ModelParams(1.1, 0.5, 41))
         assert calls == {"det": 1, "correlators": 1}
+
+
+def verify_geometries(length):
+    """Every geometry of `xymqc verify` at one chain length, in its order."""
+    return [SpinGeometry(a, b) for a in range(1, length) for b in range(1, length - a)]
+
+
+class TestRdm3Many:
+    @pytest.mark.parametrize("length", [11, 13, 41, None])
+    def test_matches_per_geometry_rdm3(self, length):
+        # mixed order and repeated geometries, every span <= 12 the chain allows
+        top = 12 if length is None else min(12, length - 1)
+        geoms = [SpinGeometry(a, s - a) for s in range(2, top + 1) for a in range(1, s)]
+        rng = np.random.default_rng(17)
+        geoms = [geoms[k] for k in rng.permutation(len(geoms))] + geoms[::7]
+        for lam, gamma in ((0.7, 0.5), (1.3, 0.2)):
+            params = ModelParams(lam, gamma, length)
+            stack = rdm3_many(geoms, params)
+            assert stack.shape == (len(geoms), 8, 8)
+            for geom, rho in zip(geoms, stack):
+                assert np.max(np.abs(rho - rdm3(geom, params).matrix)) <= 1e-14
+
+    def test_validates_every_geometry(self):
+        with pytest.raises(ValueError):
+            rdm3_many([SpinGeometry(1, 1), SpinGeometry(5, 5)], ModelParams(0.7, 0.5, 9))
 
 
 def pair_state(distance, params):
