@@ -6,9 +6,9 @@ scaling, data collapse onto a homogeneous function, factorization-point
 detection, bound-entanglement windows, and finite-vs-infinite fidelity.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -81,14 +81,25 @@ class SweepTable:
         return self.columns[name]
 
     def require_converged(self):
-        """Raise NonConvergedPoint at the first row whose solves did not converge."""
-        for lam, status in zip(self.lambdas, self.columns["status"]):
+        """Raise NonConvergedPoint at the first row whose solves did not converge.
+
+        A table without a status column (no solver behind it) counts as
+        converged.
+        """
+        for lam, status in zip(self.lambdas, self.columns.get("status", ())):
             if status != "ok":
                 raise NonConvergedPoint(lam, status)
 
 
-def _solve_ppt(rho, dims, center):
-    return sdp.e_ppt(rho, dims, center)
+def grid(lo, hi, step):
+    """The lambda grid lo, lo + step, ... up to hi inclusive (within step / 2)."""
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise ValueError(f"lambda grid needs finite bounds and step, got {(lo, hi, step)}")
+    if step <= 0:
+        raise ValueError(f"lambda grid step must be positive, got {step}")
+    if hi < lo:
+        raise ValueError(f"empty lambda range: max {hi} < min {lo}")
+    return np.arange(lo, hi + step / 2, step)
 
 
 def measure_point(lam, gamma, alpha, beta, length=None, with_sdp=True):
@@ -96,7 +107,7 @@ def measure_point(lam, gamma, alpha, beta, length=None, with_sdp=True):
     params = ModelParams(lam, gamma, length)
     rho = rdm3(SpinGeometry(alpha, beta), params)
     rec = measures.evaluate(
-        rho.matrix, rho.dims, solve_ppt=_solve_ppt if with_sdp else None
+        rho.matrix, rho.dims, solve_ppt=sdp.e_ppt if with_sdp else None
     )
     out = {
         "lambda": lam,
@@ -121,27 +132,18 @@ def _converged_point(lam, gamma, alpha, beta, length, with_sdp):
     return row
 
 
-def _point_worker(args):
-    return measure_point(*args)
-
-
-def default_workers():
-    try:
-        return max(1, int(os.environ.get("XYMQC_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def sweep(gamma, alpha, beta, lambdas, length=None, with_sdp=True, workers=None):
+def sweep(gamma, alpha, beta, lambdas, length=None, with_sdp=True, workers=1):
     """Evaluate the measure columns over a lambda grid."""
     lambdas = np.asarray(lambdas, dtype=float)
-    workers = default_workers() if workers is None else workers
-    jobs = [(lam, gamma, alpha, beta, length, with_sdp) for lam in lambdas]
-    if workers > 1 and len(jobs) > 1:
+    if lambdas.size == 0:
+        raise ValueError("empty lambda grid")
+    inputs = (lambdas, repeat(gamma), repeat(alpha), repeat(beta),
+              repeat(length), repeat(with_sdp))
+    if workers > 1 and len(lambdas) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_point_worker, jobs, chunksize=8))
+            rows = list(pool.map(measure_point, *inputs, chunksize=8))
     else:
-        rows = [_point_worker(j) for j in jobs]
+        rows = list(map(measure_point, *inputs))
     columns = {
         key: np.array([r[key] for r in rows])
         for key in rows[0]
@@ -167,6 +169,7 @@ def derivative(table, column):
 
 def pseudo_critical(table, column):
     """Locate the minimum of d_<column> by parabolic refinement."""
+    table.require_converged()
     name = "d_" + column
     if name not in table.columns:
         derivative(table, column)
@@ -204,6 +207,7 @@ def _fit(x, y, window):
 def fit_log_divergence(table, column, window=(3e-4, 3e-2), side="below",
                        lambda_c=LAMBDA_C):
     """Fit d_<column> = a * ln|lambda - lambda_c| + b on one side of lambda_c."""
+    table.require_converged()
     name = "d_" + column
     if name not in table.columns:
         derivative(table, column)
@@ -235,7 +239,7 @@ def fit_drift_exponent(scans, lambda_c=LAMBDA_C):
 
 
 def scan_pseudo_critical(gamma, alpha, beta, length, column,
-                         coarse=(0.90, 1.05, 1e-3), workers=None):
+                         coarse=(0.90, 1.05, 1e-3), workers=1):
     """Cascaded scans for the derivative minimum of one measure at finite L.
 
     Each stage re-scans a narrower window around the previous minimum with
@@ -244,10 +248,8 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
     numerical derivative starts to matter.
     """
     with_sdp = column in SDP_COLUMNS
-    lo, hi, step = coarse
-    tbl = sweep(gamma, alpha, beta, np.arange(lo, hi + step / 2, step),
-                length=length, with_sdp=with_sdp, workers=workers)
-    tbl.require_converged()
+    tbl = sweep(gamma, alpha, beta, grid(*coarse), length=length,
+                with_sdp=with_sdp, workers=workers)
     scan = pseudo_critical(tbl, column)
     stages = [(1e-4, 6e-3)]
     if length >= 300:
@@ -256,11 +258,9 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
         stages.append((1e-6, 8e-5))
     for fine_step, halfwidth in stages:
         center = scan.lambda_m
-        grid = np.arange(center - halfwidth, center + halfwidth + fine_step / 2,
-                         fine_step)
-        tbl = sweep(gamma, alpha, beta, grid, length=length, with_sdp=with_sdp,
-                    workers=workers)
-        tbl.require_converged()
+        tbl = sweep(gamma, alpha, beta,
+                    grid(center - halfwidth, center + halfwidth, fine_step),
+                    length=length, with_sdp=with_sdp, workers=workers)
         scan = pseudo_critical(tbl, column)
     return scan
 
@@ -356,7 +356,7 @@ def detect_factorization(evaluator, window, grid_step=2e-3,
     checks it actually reaches zero.
     """
     lo, hi = window
-    lambdas = np.arange(lo, hi + grid_step / 2, grid_step)
+    lambdas = grid(lo, hi, grid_step)
     vals = np.array([evaluator(l) for l in lambdas])
     i = int(np.argmin(vals))
     if i == 0 or i == len(vals) - 1:
@@ -418,7 +418,7 @@ class FactorizationScaling:
     fit: FitResult               # ln(value) vs L
 
 
-def factorization_scaling(gamma, alpha, beta, column, lengths, workers=None):
+def factorization_scaling(gamma, alpha, beta, column, lengths):
     """Measure at the factorization point versus finite chain length."""
     lam_f = factorization_lambda(gamma)
     vals, c1 = [], []
@@ -464,33 +464,30 @@ def _bisect_edge(flag_fn, lam_in, lam_out, tol=5e-5):
 
 def bound_entanglement_scan(gamma, alpha, beta, lambdas, length=None,
                             neg_threshold=ZERO_THRESHOLD, tau_threshold=1e-12,
-                            refine=True, workers=None):
+                            refine=True, workers=1):
     """Windows where the outer cut is PPT yet the state stays correlated.
 
     A grid point is flagged when N(rho_{i|jk}) < neg_threshold while there
     is still entanglement evidence: tau_ub above threshold or one of the
     other two cuts NPT.  All three partition negativities are recorded.
     """
+
+    def flagged(row):
+        # row: one measure_point dict, or the columns of a whole table
+        evidence = ((row["tau_ub"] > tau_threshold)
+                    | (row["neg_j"] > neg_threshold)
+                    | (row["neg_k"] > neg_threshold))
+        return (row["neg_i"] < neg_threshold) & evidence
+
+    def flag_at(lam):
+        return flagged(_converged_point(lam, gamma, alpha, beta, length, with_sdp=True))
+
     table = sweep(gamma, alpha, beta, lambdas, length=length, with_sdp=True,
                   workers=workers)
     table.require_converged()
     neg_outer = table.columns["neg_i"]
     tau = table.columns["tau_ub"]
-    evidence = (
-        (tau > tau_threshold)
-        | (table.columns["neg_j"] > neg_threshold)
-        | (table.columns["neg_k"] > neg_threshold)
-    )
-    flags = (neg_outer < neg_threshold) & evidence
-
-    def flag_at(lam):
-        row = _converged_point(lam, gamma, alpha, beta, length, with_sdp=True)
-        ev = (
-            row["tau_ub"] > tau_threshold
-            or row["neg_j"] > neg_threshold
-            or row["neg_k"] > neg_threshold
-        )
-        return row["neg_i"] < neg_threshold and ev
+    flags = flagged(table.columns)
 
     windows = []
     i = 0

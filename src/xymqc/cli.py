@@ -82,17 +82,30 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _model_params(args, require_chain=True):
-    length = None
-    if getattr(args, "length", None) is not None and args.infinite:
-        raise UsageError("--L and --infinite are mutually exclusive")
-    if getattr(args, "length", None) is not None:
-        if args.length % 2 == 0 or args.length < 5:
-            raise UsageError(f"--L must be odd and >= 5, got {args.length}")
-        length = args.length
-    elif not args.infinite and require_chain:
-        raise UsageError("specify either --L <odd int> or --infinite")
-    return length
+def _setup(args, *grid):
+    """(params, geometry, lambdas) of one command; a bad value is a usage error.
+
+    `grid` is (lo, hi, step) for a command that scans lambda; the params
+    then carry the grid's first lambda (0 for factorize, which builds its
+    own window).  geometry is None without --alpha.
+    """
+    try:
+        for name in ("step", "workers"):
+            value = getattr(args, name, 1)
+            if not 0 < value < np.inf:
+                raise ValueError(f"--{name} must be positive and finite, got {value}")
+        if getattr(args, "infinite", False) == (args.length is not None):
+            raise ValueError("give exactly one of --L <odd int> and --infinite")
+        lambdas = analysis.grid(*grid) if grid else None
+        lam = lambdas[0] if grid else getattr(args, "lam", 0.0)
+        params = ModelParams(lam, args.gamma, args.length)
+        geom = None
+        if hasattr(args, "alpha"):
+            geom = SpinGeometry(args.alpha, args.beta)
+            geom.validate_for(params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return params, geom, lambdas
 
 
 def _fmt(x):
@@ -101,48 +114,24 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _csv_text(args, rows):
+def _csv_text(args, table):
+    length = np.inf if table.length is None else table.length
+    fixed = [table.gamma, table.alpha, table.beta, length]
     lines = _header_lines(args)
     lines.append(",".join(CSV_FIELDS))
-    for r in rows:
-        lines.append(",".join(
-            r[f] if f == "status" else _fmt(r[f]) for f in CSV_FIELDS
-        ))
+    for k, lam in enumerate(table.lambdas):
+        measured = [table.columns[f][k] for f in CSV_FIELDS[5:-1]]  # n3 .. c_alpha
+        lines.append(",".join(map(_fmt, [lam, *fixed, *measured]))
+                     + "," + table.columns["status"][k])
     return "\n".join(lines) + "\n"
 
 
-def _sweep_rows(args, gamma, alpha, beta, lambdas, length, with_sdp, workers):
-    table = analysis.sweep(gamma, alpha, beta, lambdas, length=length,
-                           with_sdp=with_sdp, workers=workers)
-    rows = []
-    for k, lam in enumerate(table.lambdas):
-        row = {
-            "lambda": lam, "gamma": gamma, "alpha": alpha, "beta": beta,
-            "L": length if length is not None else "inf",
-            "status": table.columns["status"][k],
-        }
-        for col in ("n3", "t3", "tau_ub", "tau_lb",
-                    "neg_i", "neg_j", "neg_k", "c_alpha"):
-            row[col] = table.columns[col][k]
-        rows.append(row)
-    return rows, table
-
-
-def _validated_setup(args, length):
-    """Domain validation of params/geometry; violations are usage errors."""
-    try:
-        params = ModelParams(args.lam if hasattr(args, "lam") else 0.0,
-                             args.gamma, length)
-        geom = SpinGeometry(args.alpha, args.beta)
-        geom.validate_for(params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return params, geom
+def _json_text(args, payload):
+    return "\n".join(_header_lines(args)) + "\n" + json.dumps(payload, indent=2) + "\n"
 
 
 def cmd_rdm(args):
-    length = _model_params(args)
-    params, geom = _validated_setup(args, length)
+    params, geom, _ = _setup(args)
     rho = rdm3(geom, params)
     span = geom.span
     g_vals = dict(zip(range(-span, span + 1), correlators(params, span)))
@@ -150,7 +139,7 @@ def cmd_rdm(args):
     lines = _header_lines(args)
     lines.append(
         f"# lambda={args.lam} gamma={args.gamma} "
-        f"L={'inf' if length is None else length} alpha={args.alpha} beta={args.beta}"
+        f"L={'inf' if args.length is None else args.length} alpha={args.alpha} beta={args.beta}"
     )
     lines.append("# g_r: " + " ".join(f"g({r})={v:.12f}" for r, v in g_vals.items()))
     for i in range(8):
@@ -161,18 +150,15 @@ def cmd_rdm(args):
 
 
 def cmd_sweep(args):
-    length = _model_params(args)
-    _validated_setup(args, length)
-    lambdas = np.arange(args.lambda_min, args.lambda_max + args.step / 2, args.step)
-    rows, _ = _sweep_rows(args, args.gamma, args.alpha, args.beta, lambdas,
-                          length, not args.no_sdp, args.workers)
-    _emit(args, _csv_text(args, rows))
+    _, _, lambdas = _setup(args, args.lambda_min, args.lambda_max, args.step)
+    table = analysis.sweep(args.gamma, args.alpha, args.beta, lambdas,
+                           length=args.length, with_sdp=not args.no_sdp,
+                           workers=args.workers)
+    _emit(args, _csv_text(args, table))
     return EXIT_OK
 
 
 def cmd_fit(args):
-    length = _model_params(args)
-    _validated_setup(args, length)
     column = args.measure
     step = args.step
     side = args.side
@@ -182,32 +168,29 @@ def cmd_fit(args):
         hi = 1.0 - args.window_min / 3
     elif side == "above":
         lo = 1.0 + args.window_min / 3
-    lambdas = np.arange(lo, hi + step / 2, step)
+    _, _, lambdas = _setup(args, lo, hi, step)
     table = analysis.sweep(args.gamma, args.alpha, args.beta, lambdas,
-                           length=length, with_sdp=column in analysis.SDP_COLUMNS,
+                           length=args.length, with_sdp=column in analysis.SDP_COLUMNS,
                            workers=args.workers)
-    table.require_converged()
     fit = analysis.fit_log_divergence(
         table, column, window=(args.window_min, args.window_max), side=side
     )
     payload = {
         "measure": column, "gamma": args.gamma,
         "alpha": args.alpha, "beta": args.beta,
-        "L": length if length is not None else "inf",
+        "L": args.length if args.length is not None else "inf",
         "slope": fit.slope, "intercept": fit.intercept,
         "rms_residual": fit.rms_residual, "window": list(fit.window),
         "n_points": fit.n_points, "r_squared": fit.r_squared,
     }
-    text = "\n".join(_header_lines(args)) + "\n" + json.dumps(payload, indent=2) + "\n"
-    _emit(args, text)
+    _emit(args, _json_text(args, payload))
     return EXIT_OK
 
 
 def cmd_factorize(args):
-    length = _model_params(args)
-    _validated_setup(args, length)
+    _setup(args)
     det = analysis.detect_factorization_measure(
-        args.measure, args.gamma, args.alpha, args.beta, length=length,
+        args.measure, args.gamma, args.alpha, args.beta, length=args.length,
         grid_step=args.step,
     )
     lam_f = factorization_lambda(args.gamma)
@@ -219,19 +202,16 @@ def cmd_factorize(args):
         "lambda_f_analytic": lam_f,
         "deviation": det.lambda_detected - lam_f,
     }
-    text = "\n".join(_header_lines(args)) + "\n" + json.dumps(payload, indent=2) + "\n"
-    _emit(args, text)
+    _emit(args, _json_text(args, payload))
     print(f"lambda_f detected {det.lambda_detected:.6f} "
           f"(analytic {lam_f:.6f}, deviation {det.lambda_detected - lam_f:+.2e})")
     return EXIT_OK
 
 
 def cmd_boundscan(args):
-    length = _model_params(args)
-    _validated_setup(args, length)
-    lambdas = np.arange(args.lambda_min, args.lambda_max + args.step / 2, args.step)
+    _, _, lambdas = _setup(args, args.lambda_min, args.lambda_max, args.step)
     windows = analysis.bound_entanglement_scan(
-        args.gamma, args.alpha, args.beta, lambdas, length=length,
+        args.gamma, args.alpha, args.beta, lambdas, length=args.length,
         tau_threshold=args.tau_threshold, workers=args.workers,
     )
     payload = [
@@ -242,8 +222,7 @@ def cmd_boundscan(args):
         }
         for w in windows
     ]
-    text = "\n".join(_header_lines(args)) + "\n" + json.dumps(payload, indent=2) + "\n"
-    _emit(args, text)
+    _emit(args, _json_text(args, payload))
     for w in windows:
         print(f"window ({w.lo:.4f}, {w.hi:.4f}) max tau_ub {w.max_tau_ub:.3e}")
     if not windows:
@@ -252,9 +231,7 @@ def cmd_boundscan(args):
 
 
 def cmd_fidelity(args):
-    if args.length % 2 == 0 or args.length < 5:
-        raise UsageError(f"--L must be odd and >= 5, got {args.length}")
-    params, geom = _validated_setup(args, args.length)
+    params, geom, _ = _setup(args)
     rho_fin = rdm3(geom, params)
     rho_inf = rdm3(geom, ModelParams(args.lam, args.gamma, None))
     f = analysis.fidelity(rho_fin.matrix, rho_inf.matrix)
@@ -264,17 +241,16 @@ def cmd_fidelity(args):
             "alpha": args.alpha, "beta": args.beta, "L": args.length,
             "fidelity": f,
         }
-        _emit(args, "\n".join(_header_lines(args)) + "\n"
-              + json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json_text(args, payload))
     print(f"F(rho_L={args.length}, rho_inf) = {f:.10f} "
           f"at lambda={args.lam} gamma={args.gamma} m=({args.alpha},{args.beta})")
     return EXIT_OK
 
 
 def cmd_verify(args):
-    if args.length % 2 == 0 or not 5 <= args.length <= 14:
-        raise UsageError(f"--L must be odd in [5, 14], got {args.length}")
-    params = ModelParams(args.lam, args.gamma, args.length)
+    params, _, _ = _setup(args)
+    if args.length > 14:
+        raise UsageError(f"--L must be <= 14 for exact diagonalization, got {args.length}")
     ham = edsim.build_hamiltonian(args.length, params)
     energy, state = edsim.reference_state(ham)
     geoms = [SpinGeometry(alpha, beta)
@@ -295,10 +271,9 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_COMPUTE
 
 
-def _add_common(p, chain=True, geometry=True, workers=True):
-    if geometry:
-        p.add_argument("--alpha", type=int, required=True, help="left spin offset")
-        p.add_argument("--beta", type=int, required=True, help="right spin offset")
+def _add_common(p, chain=True, workers=True):
+    p.add_argument("--alpha", type=int, required=True, help="left spin offset")
+    p.add_argument("--beta", type=int, required=True, help="right spin offset")
     p.add_argument("--gamma", type=float, required=True, help="anisotropy in [0,1]")
     if chain:
         p.add_argument("--L", dest="length", type=int, default=None,
@@ -306,8 +281,8 @@ def _add_common(p, chain=True, geometry=True, workers=True):
         p.add_argument("--infinite", action="store_true",
                        help="thermodynamic limit (explicit, never a default)")
     if workers:
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default $XYMQC_WORKERS or 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (default 1)")
     p.add_argument("--output", default=None, help="output file (default stdout)")
 
 
@@ -342,7 +317,7 @@ def build_parser():
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("factorize", help="detect the factorization point")
-    _add_common(p)
+    _add_common(p, workers=False)
     p.add_argument("--measure", choices=analysis.SUDDEN_CHANGE_COLUMNS,
                    default="n3")
     p.add_argument("--step", type=float, default=2e-3)

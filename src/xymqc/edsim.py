@@ -74,7 +74,7 @@ def spin_parity_diagonal(length):
     return (-1.0) ** _popcount(length)
 
 
-def _lowest_eigenpairs(matrix, k, maxiter=None):
+def _lowest_eigenpairs(matrix, k):
     dim = matrix.shape[0]
     rng = np.random.default_rng(_LANCZOS_SEED)
     v0 = rng.standard_normal(dim)
@@ -84,7 +84,7 @@ def _lowest_eigenpairs(matrix, k, maxiter=None):
     from scipy.sparse.linalg import eigsh
 
     try:
-        w, v = eigsh(matrix, k=k, which="SA", v0=v0, maxiter=maxiter)
+        w, v = eigsh(matrix, k=k, which="SA", v0=v0)
     except Exception as exc:  # pragma: no cover - diagnostic path
         raise ConvergenceError(f"Lanczos failed: {exc}") from exc
     order = np.argsort(w)

@@ -61,14 +61,6 @@ class DensityMatrix:
     def validate(self):
         validate_density(self.matrix)
 
-    @classmethod
-    def from_matrix(cls, matrix, dims, symmetrize=True, validate=True):
-        """Build from a raw array, optionally removing float asymmetry."""
-        matrix = np.asarray(matrix, dtype=complex)
-        if symmetrize:
-            matrix = 0.5 * (matrix + matrix.conj().T)
-        return cls(matrix, dims, validate=validate)
-
 
 def _to_tensor(matrix, dims):
     n = len(dims)

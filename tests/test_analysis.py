@@ -50,12 +50,47 @@ class TestSweep:
         for col in ("n3", "tau_ub", "neg_i", "c_alpha"):
             assert np.array_equal(a.columns[col], b.columns[col])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            sweep(0.6, 1, 1, [], with_sdp=False)
+
     def test_parallel_matches_serial(self):
         grid = [0.5, 0.8, 1.1, 1.4]
         serial = sweep(0.6, 1, 1, grid, with_sdp=False, workers=1)
         parallel = sweep(0.6, 1, 1, grid, with_sdp=False, workers=2)
         for col in ("n3", "t3", "tau_lb", "neg_i"):
             assert np.array_equal(serial.columns[col], parallel.columns[col])
+
+
+class TestGrid:
+    @staticmethod
+    def inclusive_arange(lo, hi, step):
+        return np.arange(lo, hi + step / 2, step)
+
+    def benchmark_grids(self):
+        # the boundscan_sdp and fss_n3 reference ranges with seeded sub-step
+        # offsets, and the cascade stages of scan_pseudo_critical
+        rng = np.random.default_rng(5)
+        for lo, hi, step in ((0.93, 1.25, 0.004), (0.90, 1.05, 0.001)):
+            yield lo, hi, step
+            for offset in rng.uniform(0.0, step, size=5):
+                yield lo + offset, hi + offset, step
+        center = 1.000002688109504
+        for step, half in ((1e-4, 6e-3), (1e-5, 8e-4), (1e-6, 8e-5)):
+            yield center - half, center + half, step
+
+    def test_matches_inclusive_arange(self):
+        for lo, hi, step in self.benchmark_grids():
+            assert np.array_equal(analysis.grid(lo, hi, step),
+                                  self.inclusive_arange(lo, hi, step))
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (np.nan, 1.0, 0.1), (0.0, np.inf, 0.1), (0.0, 1.0, np.nan),
+        (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (1.0, 0.5, 0.1),
+    ])
+    def test_rejects(self, lo, hi, step):
+        with pytest.raises(ValueError):
+            analysis.grid(lo, hi, step)
 
 
 class TestDerivative:
@@ -379,6 +414,28 @@ class TestNonConvergedPoint:
         ])
         assert code == cli.EXIT_COMPUTE
         assert "did not converge" in capsys.readouterr().err
+
+    @staticmethod
+    def table_with_failed_row(d_of_lambda):
+        # a hand-built table whose eighth row stands for a cut-short solve
+        lam = np.arange(0.9705, 0.9995, 1e-3)
+        tbl = synthetic_table(lam, np.zeros_like(lam))
+        tbl.columns["d_y"] = d_of_lambda(lam)
+        tbl.columns["status"] = ["ok"] * len(lam)
+        tbl.columns["status"][7] = "max-iterations"
+        return tbl
+
+    def test_log_divergence_fit_raises(self):
+        tbl = self.table_with_failed_row(lambda lam: 0.3 * np.log(1.0 - lam))
+        with pytest.raises(NonConvergedPoint) as err:
+            fit_log_divergence(tbl, "y", window=(1e-3, 3e-2))
+        assert err.value.lam == tbl.lambdas[7]
+        assert err.value.status == "max-iterations"
+
+    def test_pseudo_critical_raises(self):
+        tbl = self.table_with_failed_row(lambda lam: (lam - 0.985) ** 2)
+        with pytest.raises(NonConvergedPoint):
+            pseudo_critical(tbl, "y")
 
     def test_factorization_scaling_raises(self, two_iterations, monkeypatch):
         # the certificate holds at lambda_f on every finite chain, so it is

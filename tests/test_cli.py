@@ -4,10 +4,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from xymqc import cli, edsim, xychain
 
 ENV = dict(os.environ, SOURCE_DATE_EPOCH="1700000000")
+GEOM = ["--alpha", "1", "--beta", "1", "--gamma", "0.5", "--infinite"]
 
 
 def run_cli(args, **kw):
@@ -54,6 +56,24 @@ class TestUsage:
         res = run_cli(["fit", "--measure", "n3", "--alpha", "1", "--beta", "1",
                        "--gamma", "0.5"])
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", *GEOM, "--step", "0"],
+        ["sweep", *GEOM, "--lambda-min", "1.2", "--lambda-max", "0.8"],
+        ["boundscan", *GEOM, "--lambda-min", "1.2", "--lambda-max", "0.8"],
+        ["fit", "--measure", "n3", *GEOM, "--step", "0"],
+        ["factorize", *GEOM, "--step", "0"],
+        ["sweep", *GEOM, "--lambda-min", "0.5", "--lambda-max", "0.5",
+         "--no-sdp", "--workers", "0"],
+        ["verify", "--L", "9", "--lambda", "-1", "--gamma", "0.5"],
+        ["verify", "--L", "9", "--lambda", "0.5", "--gamma", "2"],
+    ], ids=["sweep-step-0", "sweep-reversed", "boundscan-reversed", "fit-step-0",
+            "factorize-step-0", "workers-0", "verify-negative-lambda",
+            "verify-gamma-2"])
+    def test_bad_value_is_one_usage_error(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
 
 
 class TestRdm:

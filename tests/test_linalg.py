@@ -233,12 +233,6 @@ class TestDensityMatrix:
         with pytest.raises(NotPSDError):
             DensityMatrix(np.diag([1.2, -0.2, 0.0, 0.0]), (2, 2))
 
-    def test_symmetrize(self):
-        m = np.eye(2) / 2.0 + 0j
-        m[0, 1] = 1e-11j  # below validation tolerance after symmetrization
-        dm = DensityMatrix.from_matrix(m, (2,))
-        assert np.max(np.abs(dm.matrix - dm.matrix.conj().T)) == 0.0
-
 
 class TestValidateDensity:
     @staticmethod
