@@ -6,7 +6,6 @@ scaling, data collapse onto a homogeneous function, factorization-point
 detection, bound-entanglement windows, and finite-vs-infinite fidelity.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -140,6 +139,9 @@ def sweep(gamma, alpha, beta, lambdas, length=None, with_sdp=True, workers=1):
     inputs = (lambdas, repeat(gamma), repeat(alpha), repeat(beta),
               repeat(length), repeat(with_sdp))
     if workers > 1 and len(lambdas) > 1:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(measure_point, *inputs, chunksize=8))
     else:

@@ -1,8 +1,8 @@
 """Dense kernels for small Hermitian matrices.
 
-Everything here operates on plain complex numpy arrays.  Composite indices
-follow the convention that the leftmost subsystem is the most significant
-digit of the basis index.
+Everything here operates on plain real or complex numpy arrays.  Composite
+indices follow the convention that the leftmost subsystem is the most
+significant digit of the basis index.
 """
 
 import math
@@ -129,9 +129,10 @@ def realignment(matrix, dims):
 def trace_norm(m):
     """Sum of singular values.
 
-    A float for one matrix; an array over the leading axes of a stack.
+    A float for one matrix; an array over the leading axes of a stack.  Real
+    input takes a real SVD.
     """
-    norms = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(axis=-1)
+    norms = np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
 

@@ -7,20 +7,29 @@ PPT exact entanglement cost, tau_lb via the trace-norm/realignment lower
 bound on entanglement of formation).
 
 `evaluate` computes all four in one pass over a three-qubit state, each
-spectrum once, stacked over the three cuts or the three pairs:
+spectrum once, stacked over the three cuts or the three pairs.  Every
+matrix it takes a spectrum of is a fancy-index gather of the 64 entries of
+rho through a table built at import, by applying `_permute_to_front`,
+`linalg.partial_transpose` and `linalg.realignment` to a matrix of entry
+indices, so the tables follow the kernels' conventions by construction:
 
-- the three pair states rho_01, rho_02, rho_12 (one partial trace each);
+- the three one-vs-two partial transposes, `_CUT_PT` (3, 8, 8); the
+  absolute sum of their eigenvalues (one `eigvalsh`) is the trace norm,
+  which gives the cut negativity (n3, t3) and the partial-transpose half of
+  the E_f bound;
+- the three realignments, `_CUT_RE` (3, 4, 16), whose singular values (one
+  `svd`) give the other half of the E_f bound (tau_lb);
+- the three pair states rho_01, rho_02, rho_12, `_PAIR` (3, 2, 4, 4): the
+  sum of two gathers, the diagonal blocks with the traced qubit first;
   negativity and concurrence are symmetric under swapping the two qubits, so
   both centers that share a pair read the same values;
-- the eigenvalues of the three one-vs-two partial transposes (one
-  `eigvalsh`); their absolute sum is the trace norm, which gives the cut
-  negativity (n3, t3) and the partial-transpose half of the E_f bound;
-- the singular values of the three realignments (one `svd`), the other
-  half of the E_f bound (tau_lb);
-- the eigenvalues of the three pair partial transposes (one `eigvalsh`),
-  giving the pair negativities (t3);
-- the three pair concurrences (one `concurrence` call), giving the pair
+- the pair partial transpose, `_PAIR_PT` (4, 4), whose eigenvalues (one
+  `eigvalsh` over the three pairs) give the pair negativities (t3);
+- the three pair concurrences (one `concurrence` call) give the pair
   entanglements of formation (tau_ub, tau_lb).
+
+A state whose imaginary part is exactly zero, as every `rdm3` state is, is
+evaluated in real arithmetic.
 
 `n3`, `t3`, `tau_ub` and `tau_lb` are views of that record.
 """
@@ -30,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace, partial_transpose, realignment, trace_norm
+from .linalg import partial_transpose, realignment, trace_norm
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real  # sigma_y x sigma_y is real
 
 NEG_ZERO_TOL = 1e-9  # negativities below this are treated as exactly zero
 
@@ -101,7 +110,7 @@ def concurrence(rho):
     rather than to its square root.  A float for one 4x4 matrix; an array
     over the leading axes of a stack.
     """
-    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    w, v = np.linalg.eigh(np.asarray(rho))
     a = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     s = np.linalg.svd(np.swapaxes(a, -1, -2) @ SPIN_FLIP @ a, compute_uv=False)
     c = np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0)
@@ -120,18 +129,9 @@ def ef_lower_bound(rho, dims, part):
     """
     dims = tuple(dims)
     front = _permute_to_front(rho, dims, part)
-    pt_norm, re_norm = _cut_norms(front, (dims[part], front.shape[-1] // dims[part]))
-    return _ef_bound(max(float(pt_norm), float(re_norm)))
-
-
-def _cut_norms(front, cut):
-    """(partial-transpose, realignment) trace norms across cut[0] | cut[1].
-
-    `front` holds matrices (stacked on leading axes) whose cut subsystem is
-    the first factor.
-    """
-    pt_norm = _hermitian_trace_norm(partial_transpose(front, cut, 0))
-    return pt_norm, trace_norm(realignment(front, cut))
+    cut = (dims[part], front.shape[-1] // dims[part])
+    pt_norm = float(_hermitian_trace_norm(partial_transpose(front, cut, 0)))
+    return _ef_bound(max(pt_norm, trace_norm(realignment(front, cut))))
 
 
 def _ef_bound(lam):
@@ -153,6 +153,29 @@ def _permute_to_front(rho, dims, part):
     t = np.transpose(t, order + [o + n for o in order])
     d = math.prod(dims)
     return t.reshape(d, d)
+
+
+def _gather_tables():
+    """(_CUT_PT, _CUT_RE, _PAIR, _PAIR_PT): indices into the flattened rho
+    (the pair partial transpose: into a flattened pair state) of the
+    matrices `evaluate` takes spectra of."""
+    index = np.arange(64).reshape(8, 8)
+    fronts = np.stack([_permute_to_front(index, DIMS3, c) for c in range(3)])
+    # with the traced qubit in front, a pair state is the sum of the two
+    # diagonal 4x4 blocks, its qubits in ascending order as in PAIRS
+    traced = [_permute_to_front(index, DIMS3, 3 - sum(pair)) for pair in PAIRS]
+    tables = (
+        partial_transpose(fronts, (2, 4), 0),
+        realignment(fronts, (2, 4)),
+        np.array([[m[:4, :4], m[4:, 4:]] for m in traced]),
+        partial_transpose(np.arange(16).reshape(4, 4), (2, 2), 0),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_CUT_PT, _CUT_RE, _PAIR, _PAIR_PT = _gather_tables()
 
 
 def n3(rho, dims=DIMS3):
@@ -188,14 +211,17 @@ def evaluate(rho, dims=DIMS3, solve_ppt=None):
     if dims != DIMS3:
         raise ValueError(f"evaluate takes three qubits, dims {DIMS3}; got {dims}")
     rho = np.asarray(rho)
-    fronts = np.stack([_permute_to_front(rho, dims, c) for c in range(3)])
-    pt_norms, re_norms = _cut_norms(fronts, (2, 4))
+    if np.iscomplexobj(rho) and not rho.imag.any():
+        rho = rho.real
+    flat = rho.reshape(64)
+    pt_norms = _hermitian_trace_norm(flat[_CUT_PT])
+    re_norms = trace_norm(flat[_CUT_RE])
     ef_lbs = [_ef_bound(lam) for lam in np.maximum(pt_norms, re_norms).tolist()]
     negs = np.maximum(pt_norms - 1.0, 0.0).tolist()
 
-    pairs = np.stack([partial_trace(rho, dims, keep=p)[0] for p in PAIRS])
+    pairs = flat[_PAIR].sum(axis=1)
     pair_negs = np.maximum(
-        _hermitian_trace_norm(partial_transpose(pairs, (2, 2), 0)) - 1.0, 0.0
+        _hermitian_trace_norm(pairs.reshape(3, 16)[:, _PAIR_PT]) - 1.0, 0.0
     ).tolist()
     pair_cs = concurrence(pairs).tolist()
     pair_efs = [eof_from_concurrence(c) for c in pair_cs]

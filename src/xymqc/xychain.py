@@ -11,7 +11,11 @@ are evaluated in the thermodynamic limit by a fixed 20-point Gauss-Legendre
 rule on panels graded toward the gap-closing momenta, with the closed form
 at gamma = 0, and for finite odd L by the momentum sum.  Either way all
 g(-rmax..rmax) of a parameter point come from one vectorised call
-(`correlators`).
+(`correlators`), and both rules share one integrand (`_moments`) over the
+lambda-independent node data of `_nodes`.  The momentum sum reads that data
+from a bounded per-(L, rmax) cache (`_momentum_table`), so a finite-chain
+call does only the lambda, gamma work.  The Gauss-Legendre rule, and with
+it numpy.polynomial, is loaded on the first thermodynamic-limit call.
 
 The three-spin reduced state on sites (i-alpha, i, i+beta) is the Pauli
 expansion rho = (1/8) (I + sum_P <P> P).  P runs over the 19 strings whose
@@ -87,13 +91,26 @@ class SpinGeometry:
         return self.alpha + self.beta
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(20)
 # Panel width times the largest |r| stays below this, so that every panel
 # holds at most ~1.3 periods of cos(r phi) (20-point rule exact to ~1e-15).
 _MAX_PHASE = 8.0
 # Floor of the grading depth, reached only for gamma < 4e-17; |integrand| <= 1,
 # so the unresolved remainder is below 1e-17.
 _MIN_DEPTH = 1e-17
+
+
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1].
+
+    numpy.polynomial is imported here, on first use, so that finite-chain
+    work never loads it.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(20)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _lags(r):
@@ -104,19 +121,34 @@ def _lags(r):
     return lags, int(np.max(np.abs(lags), initial=0))
 
 
-def _moments(t, weights, lam, gamma, rmax):
-    """C_r = sum w cos(r phi) alpha/omega, S_r = sum w sin(r phi) beta/omega, r = 0..rmax.
+def _nodes(t, weights, rmax):
+    """The lambda-independent data of a rule with nodes t = pi - phi.
 
-    Nodes are given as t = pi - phi, so that alpha = 1 + lam cos(phi) =
-    (1 - lam) + 2 lam cos^2(phi/2) keeps full relative precision where the
-    gap closes (phi -> pi).
+    Returns (sin^2(t/2), sin t, w cos(r phi), w sin(r phi)), the last two as
+    (rmax + 1, nodes) rows for r = 0..rmax, built by the row recurrence
+    w e^{i (r+1) phi} = (w e^{i r phi}) e^{i phi}.
     """
-    half = np.sin(0.5 * t)                        # cos(phi/2)
-    alpha = (1.0 - lam) + 2.0 * lam * half * half
-    beta = lam * gamma * np.sin(t)
+    sin_t = np.sin(t)
+    unit = -np.cos(t) + 1j * sin_t                    # e^{i phi}
+    rows = np.empty((rmax + 1, t.size), dtype=complex)
+    rows[0] = weights
+    for r in range(rmax):
+        np.multiply(rows[r], unit, out=rows[r + 1])
+    half = np.sin(0.5 * t)                            # cos(phi/2)
+    return half * half, sin_t, rows.real.copy(), rows.imag.copy()
+
+
+def _moments(nodes, lam, gamma):
+    """C_r = sum w cos(r phi) alpha/omega, S_r = sum w sin(r phi) beta/omega over `_nodes`.
+
+    alpha = 1 + lam cos(phi) is taken as (1 - lam) + 2 lam cos^2(phi/2), which
+    keeps full relative precision where the gap closes (phi -> pi).
+    """
+    half2, sin_t, cos_rows, sin_rows = nodes
+    alpha = (1.0 - lam) + 2.0 * lam * half2
+    beta = lam * gamma * sin_t
     omega = np.hypot(alpha, beta)
-    powers = np.vander(-np.cos(t) + 1j * np.sin(t), rmax + 1, increasing=True)  # e^{i r phi}
-    return (weights * alpha / omega) @ powers.real, (weights * beta / omega) @ powers.imag
+    return cos_rows @ (alpha / omega), sin_rows @ (beta / omega)
 
 
 def _combine(lags, cos_moments, sin_moments):
@@ -148,7 +180,8 @@ def _graded_rule(lam, gamma, rmax):
                                 for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
-    return (mid[:, None] + half[:, None] * _GAUSS_X).ravel(), (half[:, None] * _GAUSS_W).ravel()
+    x, w = _gauss_legendre()
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def g_infinite(r, params):
@@ -164,7 +197,7 @@ def g_infinite(r, params):
     lam, gamma = params.lam, params.gamma
     if gamma > 0.0 and lam > 0.0:
         t, weights = _graded_rule(lam, gamma, rmax)
-        return _combine(lags, *_moments(t, weights / np.pi, lam, gamma, rmax))
+        return _combine(lags, *_moments(_nodes(t, weights / np.pi, rmax), lam, gamma))
     cos_moments = (np.arange(rmax + 1) == 0).astype(float)
     if lam > 1.0:
         phi0 = np.pi - np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))  # arccos(-1/lam)
@@ -174,22 +207,41 @@ def g_infinite(r, params):
     return _combine(lags, cos_moments, np.zeros(rmax + 1))
 
 
+@functools.lru_cache(maxsize=16)
+def _momentum_table(length, rmax):
+    """Read-only `_nodes` of the momentum sum of an odd chain, for lags up to rmax.
+
+    The momenta phi_q = 2 pi q / L, q = 0..(L-1)/2, stand for the pairs
+    +-q, so every q > 0 has weight 2 / L and q = 0 has 1 / L.
+
+    The cache holds at most 16 (L, rmax) entries of (rmax + 2) (L + 1)
+    float64 values each: 108 KB for the lags of geometry (2, 1) at L = 2701,
+    0.48 MB for span 20 there.  An `rdm3` state needs rmax <= L - 1, where an
+    entry takes at most 8 (L + 1)^2 bytes (1.3 MB at L = 401, 58 MB at
+    L = 2701), so the worst case is 16 such entries.
+    """
+    q = np.arange((length + 1) // 2)
+    t = np.pi * (length - 2 * q) / length
+    nodes = _nodes(t, np.where(q == 0, 1.0, 2.0) / length, rmax)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
 def g_finite(r, params):
     """Fermionic correlator g(r) for a finite odd chain (momentum sum).
 
     r is an int (returns a float) or an int array (returns an array).
     Momenta are phi_q = 2*pi*q/L with integer q in [-(L-1)/2, (L-1)/2];
     this set reproduces the lowest eigenstate of the odd spin-parity sector.
-    The +q and -q terms are summed together.
+    The +q and -q terms are summed together, over nodes read from the
+    per-length `_momentum_table`; a call does only the lambda, gamma work.
     """
     if params.infinite:
         raise ValueError("g_finite requires a finite chain")
     lags, rmax = _lags(r)
-    L = params.length
-    q = np.arange((L + 1) // 2)
-    weights = np.where(q == 0, 1.0, 2.0) / L
-    t = np.pi * (L - 2 * q) / L
-    return _combine(lags, *_moments(t, weights, params.lam, params.gamma, rmax))
+    nodes = _momentum_table(params.length, rmax)
+    return _combine(lags, *_moments(nodes, params.lam, params.gamma))
 
 
 def correlators(params, rmax):

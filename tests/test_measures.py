@@ -312,6 +312,15 @@ def kernel_states():
                     yield rdm3(SpinGeometry(*geometry), params).matrix
 
 
+def record_values(rec):
+    """Every number of an MqcRecord, as one array."""
+    values = [rec.n3, rec.t3, rec.tau_ub, rec.tau_lb, rec.concurrence_01]
+    for c in rec.centers:
+        values += [c.negativity, c.e_ppt, c.ef_lb, *c.ef_pair, *c.neg_pair,
+                   c.tau_ub, c.tau_lb, c.t3]
+    return np.array(values)
+
+
 class TestSinglePassKernel:
     def test_matches_per_cut_formulas(self):
         worst = 0.0
@@ -328,6 +337,21 @@ class TestSinglePassKernel:
             pair, _ = partial_trace(rho, DIMS3, keep=[0, 1])
             worst = max(worst, abs(rec.concurrence_01 - concurrence(pair)))
         assert worst <= 1e-12
+
+    def test_real_and_complex_inputs_agree(self):
+        # a zero imaginary part takes the real path; local Z phases make the
+        # state complex and leave every measure invariant
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for rho in kernel_states():
+            real = rho.real
+            rec = record_values(evaluate(real, DIMS3, solve_ppt=fixed_cost))
+            zero_imag = record_values(evaluate(real.astype(complex), DIMS3, solve_ppt=fixed_cost))
+            a, b, c = (np.diag([1.0, p]) for p in np.exp(2j * np.pi * rng.random(3)))
+            u = np.kron(np.kron(a, b), c)
+            rotated = record_values(evaluate(u @ real @ u.conj().T, DIMS3, solve_ppt=fixed_cost))
+            worst = max(worst, np.max(np.abs(rec - zero_imag)), np.max(np.abs(rec - rotated)))
+        assert worst <= 1e-14
 
     def test_bound_check_still_raises(self):
         # Hermitian, unit trace, not PSD: the partial-transpose norm is 3
@@ -360,13 +384,14 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestRepeatedWorkGuard:
-    def test_one_concurrence_and_three_partial_traces_per_point(self, monkeypatch):
+    def test_one_concurrence_and_no_partial_trace_per_point(self, monkeypatch):
+        # evaluate gathers its matrices through index tables
         rho = rdm3(SpinGeometry(2, 1), ModelParams(0.9, 0.5, 41)).matrix
         conc = count_calls(monkeypatch, measures, "concurrence")
         traces = count_calls(monkeypatch, linalg, "partial_trace")
+        transposes = count_calls(monkeypatch, linalg, "partial_transpose")
         evaluate(rho, DIMS3)
-        assert len(conc) == 1 and len(traces) <= 3
+        assert (len(conc), len(traces), len(transposes)) == (1, 0, 0)
         conc.clear()
-        traces.clear()
         analysis.measure_point(0.9, 0.5, 2, 1, 41, with_sdp=False)
-        assert len(conc) == 1 and len(traces) <= 3
+        assert (len(conc), len(traces), len(transposes)) == (1, 0, 0)

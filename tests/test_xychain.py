@@ -3,6 +3,7 @@ import subprocess
 import sys
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -85,6 +86,29 @@ def momentum_sum_reference(r, L, lam, gamma):
     beta = lam * gamma * np.sin(phi)
     terms = (np.cos(phi * r) * alpha - beta * np.sin(phi * r)) / np.hypot(alpha, beta)
     return float(np.sum(terms)) / L
+
+
+@lru_cache(maxsize=None)
+def mp_momentum_terms(L, lam, gamma):
+    """Per momentum q = -(L-1)/2..(L-1)/2: (phi_q, alpha/omega, beta/omega) at 30 digits."""
+    with mpmath.workdps(30):
+        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
+        terms = []
+        for q in range(-(L - 1) // 2, (L - 1) // 2 + 1):
+            phi = 2 * mpmath.pi * q / L
+            alpha = 1 + lam * mpmath.cos(phi)
+            beta = lam * gamma * mpmath.sin(phi)
+            omega = mpmath.sqrt(alpha * alpha + beta * beta)
+            terms.append((phi, alpha / omega, beta / omega))
+        return terms
+
+
+def mp_momentum_sum(r, L, lam, gamma):
+    """g(r) on a finite chain as the plain sum over all L momenta, at 30 digits."""
+    with mpmath.workdps(30):
+        total = mpmath.fsum(mpmath.cos(r * phi) * ca - mpmath.sin(r * phi) * sb
+                            for phi, ca, sb in mp_momentum_terms(L, lam, gamma))
+        return float(total / L)
 
 
 def cofactor_det(m):
@@ -178,6 +202,37 @@ class TestGFinite:
     def test_requires_finite_chain(self):
         with pytest.raises(ValueError):
             g_finite(0, ModelParams(1.0, 0.5))
+
+
+class TestMomentumTable:
+    def test_matches_30_digit_momentum_sum(self):
+        # at and next to the gap closing, and away from it
+        cases = [(L, np.arange(-3, 4)) for L in (11, 2701)] + [(101, np.array([-24, 24]))]
+        worst = 0.0
+        for L, lags in cases:
+            for lam in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.7):
+                for gamma in (0.01, 1.0):
+                    g = g_finite(lags, ModelParams(lam, gamma, L))
+                    ref = [mp_momentum_sum(int(r), L, lam, gamma) for r in lags]
+                    worst = max(worst, np.max(np.abs(g - ref)))
+        assert worst <= 1e-15
+
+    def test_table_is_read_only(self):
+        g_finite(np.arange(-3, 4), ModelParams(0.9, 0.5, 41))
+        for rows in xychain._momentum_table(41, 3):
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        maxsize = xychain._momentum_table.cache_info().maxsize
+        assert maxsize is not None
+        for L in range(5, 5 + 2 * (maxsize + 3), 2):
+            g_finite(1, ModelParams(0.9, 0.5, L))
+        assert xychain._momentum_table.cache_info().currsize == maxsize
+        # an evicted length is rebuilt
+        assert abs(g_finite(1, ModelParams(0.9, 0.5, 5))
+                   - momentum_sum_reference(1, 5, 0.9, 0.5)) <= 1e-15
 
 
 class TestClosedForms:
@@ -296,6 +351,21 @@ class TestImport:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "False"
+
+    def test_cli_does_not_load_process_pools_or_numpy_polynomial(self):
+        # the pool is imported by a parallel sweep and the Gauss-Legendre rule
+        # by the first thermodynamic-limit call, each where it runs
+        script = (
+            "import sys, xymqc.cli\n"
+            "names = ('multiprocessing', 'concurrent.futures.process', 'numpy.polynomial')\n"
+            "print(sorted(n for n in names if n in sys.modules))\n"
+            "from xymqc import analysis\n"
+            "t = analysis.sweep(0.6, 1, 1, [0.5, 0.7, 0.9], with_sdp=False, workers=2)\n"
+            "print(len(t.columns['n3']), 'concurrent.futures.process' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.splitlines() == ["[]", "3 True"]
 
 
 class TestRdm3:
