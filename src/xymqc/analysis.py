@@ -49,9 +49,6 @@ class FitResult:
     n_points: int
     r_squared: float = float("nan")
 
-    def predict(self, x):
-        return self.slope * np.asarray(x) + self.intercept
-
 
 @dataclass
 class CriticalScan:

@@ -29,7 +29,9 @@ indices, so the tables follow the kernels' conventions by construction:
   entanglements of formation (tau_ub, tau_lb).
 
 A state whose imaginary part is exactly zero, as every `rdm3` state is, is
-evaluated in real arithmetic.
+evaluated in real arithmetic.  One more table, `_MIRROR` (64,), gathers
+rho's image under swapping qubits 0 and 2; a state equal to it has equal
+E_kappa on the cuts 0 | 12 and 2 | 01, so the solver runs on two cuts.
 
 `n3`, `t3`, `tau_ub` and `tau_lb` are views of that record.
 """
@@ -45,6 +47,9 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real  # sigma_y x sigma_y is real
 
 NEG_ZERO_TOL = 1e-9  # negativities below this are treated as exactly zero
+# largest entry deviation of rho from its qubit 0 <-> 2 mirror image that
+# still counts as mirror-symmetric
+MIRROR_TOL = 1e-14
 
 DIMS3 = (2, 2, 2)
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -156,9 +161,9 @@ def _permute_to_front(rho, dims, part):
 
 
 def _gather_tables():
-    """(_CUT_PT, _CUT_RE, _PAIR, _PAIR_PT): indices into the flattened rho
-    (the pair partial transpose: into a flattened pair state) of the
-    matrices `evaluate` takes spectra of."""
+    """(_CUT_PT, _CUT_RE, _PAIR, _PAIR_PT, _MIRROR): indices into the
+    flattened rho (the pair partial transpose: into a flattened pair state)
+    of the matrices `evaluate` takes spectra of, and of rho's mirror image."""
     index = np.arange(64).reshape(8, 8)
     fronts = np.stack([_permute_to_front(index, DIMS3, c) for c in range(3)])
     # with the traced qubit in front, a pair state is the sum of the two
@@ -169,13 +174,14 @@ def _gather_tables():
         realignment(fronts, (2, 4)),
         np.array([[m[:4, :4], m[4:, 4:]] for m in traced]),
         partial_transpose(np.arange(16).reshape(4, 4), (2, 2), 0),
+        index.reshape((2,) * 6).transpose(2, 1, 0, 5, 4, 3).reshape(64),
     )
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-_CUT_PT, _CUT_RE, _PAIR, _PAIR_PT = _gather_tables()
+_CUT_PT, _CUT_RE, _PAIR, _PAIR_PT, _MIRROR = _gather_tables()
 
 
 def n3(rho, dims=DIMS3):
@@ -189,7 +195,11 @@ def t3(rho, dims=DIMS3):
 
 
 def tau_ub(rho, e_ppt_values, dims=DIMS3):
-    """Mean residual of squared PPT entanglement cost; not clamped at zero."""
+    """Mean residual of squared PPT entanglement cost; not clamped at zero.
+
+    `e_ppt_values` holds the three cuts' E_kappa by center; for a
+    mirror-symmetric rho, `evaluate` takes center 2's from center 0.
+    """
     def given(_rho, _dims, center):
         return e_ppt_values[center], "converged"
 
@@ -204,8 +214,14 @@ def tau_lb(rho, dims=DIMS3):
 def evaluate(rho, dims=DIMS3, solve_ppt=None):
     """Full MqcRecord for a three-qubit state.
 
-    `solve_ppt` is a callable (rho, dims, center) -> (e_ppt, status);
-    if None the SDP-backed tau_ub is skipped and reported as None.
+    `solve_ppt` is a callable (rho, dims, center) -> (e_ppt, status) that
+    returns the E_kappa of the cut center | rest, a quantity that does not
+    change when the qubits are relabelled; if None the SDP-backed tau_ub is
+    skipped and reported as None.  When rho equals its qubit 0 <-> 2 mirror
+    image to within MIRROR_TOL per entry (one gather through `_MIRROR`), as
+    every alpha = beta `rdm3` state does, the cut 2 | 01 is the mirror image
+    of 0 | 12: center 2 reuses center 0's (e_ppt, status) and `solve_ppt`
+    is called for centers 0 and 1 only.
     """
     dims = tuple(dims)
     if dims != DIMS3:
@@ -226,13 +242,19 @@ def evaluate(rho, dims=DIMS3, solve_ppt=None):
     pair_cs = concurrence(pairs).tolist()
     pair_efs = [eof_from_concurrence(c) for c in pair_cs]
 
+    mirrored = (
+        solve_ppt is not None and np.max(np.abs(flat - flat[_MIRROR])) <= MIRROR_TOL
+    )
     centers = []
     statuses = []
     for center, (a, b) in enumerate(CENTER_PAIRS):
         ef = (pair_efs[a], pair_efs[b])
         npair = (pair_negs[a], pair_negs[b])
         if solve_ppt is not None:
-            e_ppt, status = solve_ppt(rho, dims, center)
+            if center == 2 and mirrored:
+                e_ppt, status = centers[0].e_ppt, statuses[0]
+            else:
+                e_ppt, status = solve_ppt(rho, dims, center)
             statuses.append(status)
             tau_ub_c = e_ppt**2 - ef[0] ** 2 - ef[1] ** 2
         else:

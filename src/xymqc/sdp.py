@@ -4,17 +4,33 @@ E_kappa is log2 of the optimum of  minimize Tr S  over Hermitian S with
 
     S >= 0,    S^{T_A} - rho^{T_A} >= 0,    S^{T_A} + rho^{T_A} >= 0,
 
-where T_A transposes the first (2-dimensional) factor.  `e_ppt` first tests
-the binegativity certificate |rho^{T_A}|^{T_A} >= 0; where it holds, S =
-|rho^{T_A}|^{T_A} is optimal and E_kappa is the log-negativity
-log2 ||rho^{T_A}||_1 in closed form (Wang & Wilde, PRL 125, 040502 (2020)).
-Only where it fails does the semidefinite program run.
+where T_A transposes the first (2-dimensional) factor.  Only three-qubit
+states (dims (2, 2, 2)) are taken, as in `measures.evaluate`; the cut
+center | rest puts qubit `center` first.  Each cut's rho^{T_A} is a gather
+of the 64 entries of rho through `measures._CUT_PT[center]`, in real
+arithmetic when rho is real, and the partial transpose |rho^{T_A}|^{T_A}
+is one more gather through the fixed table `_PT_FRONT`.  One `eigh` of
+rho^{T_A} and one `eigvalsh` of |rho^{T_A}|^{T_A} give the trace norm and
+the binegativity certificate |rho^{T_A}|^{T_A} >= 0.
+
+`e_ppt` first tests that certificate; where it holds, S = |rho^{T_A}|^{T_A}
+is optimal and E_kappa is the log-negativity log2 ||rho^{T_A}||_1 in closed
+form (Wang & Wilde, PRL 125, 040502 (2020)).  Only where it fails does the
+semidefinite program run.
 
 Its solver is a feasible-start primal-dual path-following method with
-Nesterov-Todd scaling.  The three constraint blocks are held as one stack
-of shape (k, d, d), and each iteration makes one `eigh` of the stacked
-slacks and duals, which gives the slack inverses, the dual square roots of
-the scaling and the step lengths of both the predictor and the corrector.
+Nesterov-Todd scaling.  It is warm-started from the strictly feasible
+S_0 = |rho^{T_A}|^{T_A} + (m + WARM_START_MARGIN) I, where -m is the
+certificate's minimum eigenvalue where negative (m = 0 otherwise): since
+|rho^{T_A}| -+ rho^{T_A} >= 0, every block of S_0 is at least
+WARM_START_MARGIN I, and Tr S_0 exceeds the lower bound ||rho^{T_A}||_1 on
+the optimum by only 8 (m + WARM_START_MARGIN) (warm starts for
+interior-point methods: Yildirim & Wright, SIAM J. Optim. 12, 782 (2002)).
+The three constraint blocks are held as one stack of shape (k, d, d), and
+each iteration makes one `eigh` of the stacked slacks and duals, which gives
+the slack inverses, the dual square roots of the scaling and the step
+lengths of both the predictor and the corrector.  Real data (every `rdm3`
+state) stay in real arithmetic throughout.
 
 Every `rdm3` state commutes with the parity P = Z x Z x Z (its Pauli
 expansion holds only Z, XX and YY strings), and P commutes with T_A.  Then
@@ -34,11 +50,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import partial_transpose, trace_norm
-from .measures import _permute_to_front
+# unused here, but kept bound: perfbench's tracer patches and checks every
+# binding of trace_norm in the package
+from .linalg import trace_norm  # noqa: F401
+from .measures import _CUT_PT, DIMS3
 
 GAP_TOL = 1e-9
 MAX_ITERS = 200
+# the solver starts WARM_START_MARGIN inside every constraint block
+WARM_START_MARGIN = 1e-3
 # |rho^T|^T + eps*I is feasible, so the closed form is exact to 8*eps/ln 2,
 # the size of the SDP's own duality gap.
 CERTIFICATE_TOL = 1e-10
@@ -51,6 +71,11 @@ PARITY_TOL = 1e-14
 _PARITY = np.array([bin(i).count("1") % 2 for i in range(8)])
 _SECTORS = (np.flatnonzero(_PARITY == 0), np.flatnonzero(_PARITY == 1))
 _CROSS = _PARITY[:, None] != _PARITY[None, :]
+# the partial transpose of the first qubit of an 8x8 matrix, as indices into
+# its 64 entries: the cut-0 table, whose qubit 0 is already in front
+_PT_FRONT = _CUT_PT[0]
+# largest imaginary entry of rho that still counts as real data
+REAL_TOL = 1e-14
 
 
 @dataclass
@@ -110,39 +135,55 @@ def hermitian_basis(dim, real_only=False):
 
 
 def _dag(m):
-    return np.swapaxes(m, -1, -2).conj()
+    mt = np.swapaxes(m, -1, -2)
+    return mt.conj() if np.iscomplexobj(mt) else mt
+
+
+def _pt_front(m):
+    """Partial transpose of the first qubit of an 8x8 matrix, by one gather."""
+    return m.reshape(64)[_PT_FRONT]
 
 
 def _cut_pt(rho, dims, center):
-    """(rho^{T_A}, (d_A, d_B)) across the cut center | rest, center first."""
-    dims = tuple(dims)
-    rho_front = _permute_to_front(np.asarray(rho, dtype=complex), dims, center)
-    pt_dims = (dims[center], rho_front.shape[0] // dims[center])
-    return partial_transpose(rho_front, pt_dims, 0), pt_dims
+    """rho^{T_A} across the cut center | rest, center first; real when the
+    imaginary part of rho is below REAL_TOL."""
+    if tuple(dims) != DIMS3:
+        raise ValueError(f"E_kappa takes three qubits, dims {DIMS3}; got {tuple(dims)}")
+    flat = np.asarray(rho).reshape(64)
+    if np.iscomplexobj(flat) and np.max(np.abs(flat.imag)) < REAL_TOL:
+        flat = flat.real
+    return flat[_CUT_PT[center]]
+
+
+def _certificate(rho_pt):
+    """(||rho^T||_1, |rho^T|^T, the minimum eigenvalue of |rho^T|^T)."""
+    w, v = np.linalg.eigh(rho_pt)
+    abs_pt_pt = _pt_front((v * np.abs(w)) @ _dag(v))
+    return float(np.abs(w).sum()), abs_pt_pt, float(np.linalg.eigvalsh(abs_pt_pt)[0])
 
 
 def _has_parity(rho_pt):
     """True when rho^{T_A} commutes with Z x Z x Z (no cross-sector entry)."""
-    return rho_pt.shape == _CROSS.shape and np.max(np.abs(rho_pt[_CROSS])) <= PARITY_TOL
+    return np.max(np.abs(rho_pt[_CROSS])) <= PARITY_TOL
 
 
 @functools.cache
-def _block_basis(dim, pt_dims, real_data, parity):
+def _block_basis(real_data, parity):
     """(ops, sectors): the images of the variable basis in the block stack.
 
     ops[a] is the (k, d, d) stack [F_a, F_a^{T_A}, F_a^{T_A}], each block cut
     into the sectors' diagonal blocks.  With parity, the F_a are the
     elements of `hermitian_basis` supported on the two parity sectors
-    (k = 6, d = 4); otherwise all of them, on one sector (k = 3, d = dim).
+    (k = 6, d = 4); otherwise all of them, on one sector (k = 3, d = 8).
     The returned stack is cached, shared between calls and read-only.
     """
-    basis = hermitian_basis(dim, real_data)
+    basis = hermitian_basis(8, real_data)
     if parity:
         basis = basis[~np.any(basis[:, _CROSS], axis=1)]
         sectors = _SECTORS
     else:
-        sectors = (np.arange(dim),)
-    basis_pt = partial_transpose(basis, pt_dims, 0)
+        sectors = (np.arange(8),)
+    basis_pt = basis.reshape(len(basis), 64)[:, _PT_FRONT]
     ops = np.stack(
         [m[:, s[:, None], s] for m in (basis, basis_pt, basis_pt) for s in sectors],
         axis=1,
@@ -152,33 +193,38 @@ def _block_basis(dim, pt_dims, real_data, parity):
 
 
 class KappaProgram:
-    """One cut's program: the variable basis images and rho^{T_A} by sector."""
+    """One cut's program: the variable basis images, rho^{T_A} by sector and
+    the coordinates `start` of the warm start S_0."""
 
     def __init__(self, rho, dims, center):
-        rho_pt, pt_dims = _cut_pt(rho, dims, center)
-        real_data = bool(np.max(np.abs(rho_pt.imag)) < 1e-14)
-        if real_data:
-            rho_pt = rho_pt.real
-        self.dim = rho_pt.shape[0]
-        self.pt_norm = trace_norm(rho_pt)
-        self.ops, self.sectors = _block_basis(
-            self.dim, pt_dims, real_data, _has_parity(rho_pt)
-        )
-        r = np.stack([rho_pt[np.ix_(s, s)] for s in self.sectors])
+        rho_pt = _cut_pt(rho, dims, center)
+        real_data = not np.iscomplexobj(rho_pt)
+        self.pt_norm, abs_pt_pt, min_eig = _certificate(rho_pt)
+        self.ops, self.sectors = _block_basis(real_data, _has_parity(rho_pt))
+        p = len(self.sectors)
+        r = self._by_sector(rho_pt)
         self.offset = np.concatenate([np.zeros_like(r), -r, r])
         self.flat = self.ops.reshape(len(self.ops), -1)
-        self.flat_conj = self.flat.conj()
-        # Tr S = unit @ s for the coordinates s of S
-        p = len(self.sectors)
+        self.flat_conj = self.flat if real_data else self.flat.conj()
+        # Tr S = unit @ s for the coordinates s of S; unit holds those of I
         self.unit = np.real(np.trace(self.ops[:, :p], axis1=-2, axis2=-1).sum(axis=1))
+        # the basis is orthonormal, so S_0's coordinates are its inner products
+        # with the sector blocks of the F_a
+        coords = np.real(
+            self.flat_conj[:, : r.size] @ self._by_sector(abs_pt_pt).reshape(-1)
+        )
+        self.start = coords + (max(-min_eig, 0.0) + WARM_START_MARGIN) * self.unit
+
+    def _by_sector(self, m):
+        return np.stack([m[np.ix_(s, s)] for s in self.sectors])
 
     def blocks(self, s):
         """[S, S^T - rho^T, S^T + rho^T] by sector, for the coordinates s of S."""
         return (s @ self.flat).reshape(self.offset.shape) + self.offset
 
     def full(self, blocks):
-        """The dim x dim matrix with the sectors' diagonal blocks `blocks`."""
-        out = np.zeros((self.dim, self.dim), dtype=blocks.dtype)
+        """The 8x8 matrix with the sectors' diagonal blocks `blocks`."""
+        out = np.zeros((8, 8), dtype=blocks.dtype)
         for block, s in zip(blocks, self.sectors):
             out[np.ix_(s, s)] = block
         return out
@@ -193,7 +239,7 @@ def _solve_program(prog, gap_tol=GAP_TOL, max_iters=MAX_ITERS):
     k, d = prog.ops.shape[1:3]
     p = len(prog.sectors)
 
-    s = (prog.pt_norm + 1.0) * prog.unit
+    s = prog.start
     z = prog.blocks(s)
     x = np.broadcast_to(np.eye(d, dtype=prog.ops.dtype) / 3.0, (k, d, d)).copy()
 
@@ -322,16 +368,16 @@ def verify_solution(rho, dims, center, solution, gap_tol=1e-6, feas_tol=1e-8):
 
     It works on the full matrices, not on the solver's reduced blocks.
     """
-    rho_pt, pt_dims = _cut_pt(rho, dims, center)
+    rho_pt = _cut_pt(rho, dims, center)
     s = solution.s_matrix
-    s_pt = partial_transpose(s, pt_dims, 0)
+    s_pt = _pt_front(s)
     min_eigs = tuple(
         float(np.linalg.eigvalsh(z)[0]) for z in (s, s_pt - rho_pt, s_pt + rho_pt)
     )
     if solution.dual_blocks is not None:
         x1, x2, x3 = solution.dual_blocks
         dual_min = tuple(float(np.linalg.eigvalsh(x)[0]) for x in (x1, x2, x3))
-        resid = x1 + partial_transpose(x2 + x3, pt_dims, 0) - np.eye(len(s))
+        resid = x1 + _pt_front(x2 + x3) - np.eye(len(s))
         dual_resid = float(np.linalg.norm(resid))
         dual_objective = np.real(np.trace(rho_pt @ x2) - np.trace(rho_pt @ x3))
         gap = float(np.real(np.trace(s)) - dual_objective)
@@ -356,11 +402,8 @@ def verify_solution(rho, dims, center, solution, gap_tol=1e-6, feas_tol=1e-8):
 
 def _binegativity(rho, dims, center):
     """(min eigenvalue of |rho^T|^T, ||rho^T||_1) across the cut center | rest."""
-    rho_pt, pt_dims = _cut_pt(rho, dims, center)
-    w, v = np.linalg.eigh(rho_pt)
-    abs_pt = (v * np.abs(w)) @ v.conj().T
-    min_eig = float(np.linalg.eigvalsh(partial_transpose(abs_pt, pt_dims, 0))[0])
-    return min_eig, float(np.sum(np.abs(w)))
+    pt_norm, _, min_eig = _certificate(_cut_pt(rho, dims, center))
+    return min_eig, pt_norm
 
 
 def e_ppt(rho, dims=(2, 2, 2), center=0):

@@ -176,8 +176,12 @@ def _graded_rule(lam, gamma, rmax):
     edges = np.unique(np.clip(np.concatenate(edges), 0.0, np.pi))
     pieces = np.ceil(np.diff(edges) * max(rmax, 1) / _MAX_PHASE).astype(int)
     if pieces.max() > 1:
-        edges = np.concatenate([np.linspace(a, b, n, endpoint=False)
-                                for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
+        # each panel [a, b) in n pieces at a + k (b - a)/n, k < n: the
+        # formula of np.linspace(a, b, n, endpoint=False), for all at once
+        first = np.cumsum(pieces) - pieces
+        k = np.arange(first[-1] + pieces[-1]) - np.repeat(first, pieces)
+        step = np.repeat(np.diff(edges) / pieces, pieces)
+        edges = np.append(k * step + np.repeat(edges[:-1], pieces), edges[-1])
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
     x, w = _gauss_legendre()

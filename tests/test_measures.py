@@ -222,13 +222,19 @@ class TestEvaluate:
 
         def fake_solver(rho, dims, center):
             calls.append(center)
-            return 0.5, "converged"
+            return log_negativity_cost(rho, dims, center)
 
         rec = evaluate(ghz(), solve_ppt=fake_solver)
-        assert calls == [0, 1, 2]
+        # GHZ equals its qubit 0 <-> 2 mirror image: center 2 reuses center 0
+        assert calls == [0, 1]
         assert rec.sdp_status == "ok"
-        # tau_ub from the stubbed cost: mean of 0.25 - 0 - 0
-        assert abs(rec.tau_ub - 0.25) < 1e-12
+        # tau_ub from the stubbed cost: every cut has log-negativity 1 and
+        # every pair is separable
+        assert np.allclose([c.e_ppt for c in rec.centers], 1.0, rtol=0.0, atol=1e-12)
+        assert abs(rec.tau_ub - 1.0) < 1e-12
+        calls.clear()
+        evaluate(random_pure3(np.random.default_rng(10)), solve_ppt=fake_solver)
+        assert calls == [0, 1, 2]
 
     def test_status_propagates(self):
         def flaky(rho, dims, center):
@@ -259,8 +265,10 @@ def random_mixed3(rng):
     return rho / np.trace(rho).real
 
 
-def fixed_cost(rho, dims, center):
-    return 0.2 + 0.3 * center, "converged"
+def log_negativity_cost(rho, dims, center):
+    """A stand-in for E_kappa that, like it, does not change when the qubits
+    are relabelled: the cut's log-negativity, from the linalg kernels."""
+    return float(np.log2(trace_norm(partial_transpose(rho, dims, center)))), "converged"
 
 
 def reference_centers(rho):
@@ -283,7 +291,7 @@ def reference_centers(rho):
             pair, pdims = partial_trace(rho, DIMS3, keep=[center, other])
             ef_pair.append(eof_from_concurrence(concurrence(pair)))
             neg_pair.append(max(trace_norm(partial_transpose(pair, pdims, 0)) - 1.0, 0.0))
-        e_ppt = fixed_cost(rho, DIMS3, center)[0]
+        e_ppt = log_negativity_cost(rho, DIMS3, center)[0]
         centers.append(measures.CenterReport(
             center=center,
             negativity=neg,
@@ -325,7 +333,7 @@ class TestSinglePassKernel:
     def test_matches_per_cut_formulas(self):
         worst = 0.0
         for rho in kernel_states():
-            rec = evaluate(rho, DIMS3, solve_ppt=fixed_cost)
+            rec = evaluate(rho, DIMS3, solve_ppt=log_negativity_cost)
             for got, want in zip(rec.centers, reference_centers(rho)):
                 assert got.center == want.center
                 for field in ("negativity", "e_ppt", "ef_lb", "tau_ub", "tau_lb", "t3"):
@@ -345,11 +353,11 @@ class TestSinglePassKernel:
         worst = 0.0
         for rho in kernel_states():
             real = rho.real
-            rec = record_values(evaluate(real, DIMS3, solve_ppt=fixed_cost))
-            zero_imag = record_values(evaluate(real.astype(complex), DIMS3, solve_ppt=fixed_cost))
+            rec = record_values(evaluate(real, DIMS3, solve_ppt=log_negativity_cost))
+            zero_imag = record_values(evaluate(real.astype(complex), DIMS3, solve_ppt=log_negativity_cost))
             a, b, c = (np.diag([1.0, p]) for p in np.exp(2j * np.pi * rng.random(3)))
             u = np.kron(np.kron(a, b), c)
-            rotated = record_values(evaluate(u @ real @ u.conj().T, DIMS3, solve_ppt=fixed_cost))
+            rotated = record_values(evaluate(u @ real @ u.conj().T, DIMS3, solve_ppt=log_negativity_cost))
             worst = max(worst, np.max(np.abs(rec - zero_imag)), np.max(np.abs(rec - rotated)))
         assert worst <= 1e-14
 
@@ -395,3 +403,24 @@ class TestRepeatedWorkGuard:
         conc.clear()
         analysis.measure_point(0.9, 0.5, 2, 1, 41, with_sdp=False)
         assert (len(conc), len(traces), len(transposes)) == (1, 0, 0)
+
+    def test_kappa_point_solves_only_uncertified_cuts(self, monkeypatch):
+        # the certificate and the warm start gather rho^{T_A} and its
+        # |rho^{T_A}|^{T_A}; the (4, 4) state is its own qubit 0 <-> 2 mirror
+        # image, so only centers 0 and 1 can reach the solver
+        rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
+        uncertified = [c for c in (0, 1) if not sdp.binegativity_is_psd(rho, DIMS3, c)]
+        assert uncertified
+        transposes = count_calls(monkeypatch, linalg, "partial_transpose")
+        solved = []
+        solve_kappa = sdp.solve_kappa
+
+        def counting(rho, dims, center, **kwargs):
+            solved.append(center)
+            return solve_kappa(rho, dims, center, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve_kappa", counting)
+        row = analysis.measure_point(1.16, 0.5, 4, 4)
+        assert row["status"] == "ok"
+        assert transposes == []
+        assert solved == uncertified

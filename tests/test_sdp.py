@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from test_measures import kernel_states
 from xymqc import analysis, measures, sdp
 from xymqc.linalg import partial_transpose, trace_norm
-from xymqc.xychain import ModelParams, SpinGeometry, rdm3
+from xymqc.xychain import ModelParams, SpinGeometry, factorization_lambda, rdm3
 
 DIMS3 = (2, 2, 2)
 
@@ -25,6 +26,18 @@ def log_neg(rho, center):
     return np.log2(trace_norm(partial_transpose(rho, DIMS3, center)))
 
 
+def uncertified_cuts(geometry, lambdas, gamma):
+    """(rho, center) of every cut of an rdm3 scan that needs the SDP."""
+    cuts = []
+    for lam in lambdas:
+        rho = rdm3(SpinGeometry(*geometry), ModelParams(lam, gamma)).matrix
+        cuts += [
+            (rho, center) for center in range(3)
+            if not sdp.binegativity_is_psd(rho, DIMS3, center)
+        ]
+    return cuts
+
+
 EDGE_GRIDS = [(4, 4, 1.14, 1.18), (2, 1, 1.09, 1.13)]
 
 
@@ -33,12 +46,7 @@ def uncertified_edge_cuts():
     """(rho, center) of every cut of the certificate-edge grids that needs the SDP."""
     cuts = []
     for alpha, beta, lam_lo, lam_hi in EDGE_GRIDS:
-        for lam in np.linspace(lam_lo, lam_hi, 41):
-            rho = rdm3(SpinGeometry(alpha, beta), ModelParams(lam, 0.5)).matrix
-            cuts += [
-                (rho, center) for center in range(3)
-                if not sdp.binegativity_is_psd(rho, DIMS3, center)
-            ]
+        cuts += uncertified_cuts((alpha, beta), np.linspace(lam_lo, lam_hi, 41), 0.5)
     return cuts
 
 
@@ -254,3 +262,107 @@ class TestSchurFallback:
         row = analysis.measure_point(1.16, 0.5, 4, 4)
         assert row["status"] != "ok"
         assert "lstsq-fallback" in row["status"]
+
+
+def reference_binegativity(rho, center):
+    """(min eigenvalue of |rho^T|^T, ||rho^T||_1) by linalg.partial_transpose
+    on the unpermuted state, in complex arithmetic."""
+    rho_pt = partial_transpose(np.asarray(rho, dtype=complex), DIMS3, center)
+    w, v = np.linalg.eigh(rho_pt)
+    abs_pt = (v * np.abs(w)) @ v.conj().T
+    min_eig = np.linalg.eigvalsh(partial_transpose(abs_pt, DIMS3, center))[0]
+    return min_eig, np.sum(np.abs(w))
+
+
+class TestGatheredCertificate:
+    def test_matches_partial_transpose_construction(self):
+        rng = np.random.default_rng(47)
+        states = list(kernel_states()) + [random_mixed(rng) for _ in range(30)]
+        worst = 0.0
+        for rho in states:
+            for center in range(3):
+                got = sdp._binegativity(rho, DIMS3, center)
+                want = reference_binegativity(rho, center)
+                worst = max(worst, *np.abs(np.subtract(got, want)))
+        assert worst <= 1e-14
+
+    def test_real_state_takes_real_arithmetic(self):
+        rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
+        assert np.iscomplexobj(rho)
+        prog = sdp.KappaProgram(rho, DIMS3, 1)
+        assert prog.offset.dtype == prog.flat.dtype == float
+        assert prog.flat_conj is prog.flat
+
+    @pytest.mark.parametrize("dims", [(2, 4), (4, 2), (2, 2, 2, 1)])
+    def test_rejects_non_three_qubit_dims(self, dims):
+        rho = np.eye(8) / 8.0
+        for fn in (sdp.e_ppt, sdp.solve_kappa, sdp.binegativity_is_psd):
+            with pytest.raises(ValueError, match="three qubits"):
+                fn(rho, dims, 0)
+
+
+class TestWarmStart:
+    def test_matches_cold_start_in_fewer_iterations(self, uncertified_edge_cuts):
+        # the criterion-2 detection windows lambda_f +- 0.04, as in
+        # analysis.detect_factorization_measure
+        cuts = list(uncertified_edge_cuts)
+        for gamma in (0.2, 0.8):
+            lam_f = factorization_lambda(gamma)
+            for geometry in ((1, 1), (2, 1), (2, 2)):
+                cuts += uncertified_cuts(
+                    geometry, np.linspace(lam_f - 0.04, lam_f + 0.04, 9), gamma
+                )
+        assert len(cuts) > len(uncertified_edge_cuts)
+        warm_iters, cold_iters = [], []
+        for rho, center in cuts:
+            prog = sdp.KappaProgram(rho, DIMS3, center)
+            warm = sdp._solve_program(prog)
+            prog.start = (prog.pt_norm + 1.0) * prog.unit
+            cold = sdp._solve_program(prog)
+            assert warm.status == cold.status == "converged"
+            assert abs(warm.e_kappa - cold.e_kappa) <= 1e-8
+            warm_iters.append(warm.iterations)
+            cold_iters.append(cold.iterations)
+        assert np.mean(warm_iters) < np.mean(cold_iters)
+
+    def test_start_is_strictly_feasible(self, uncertified_edge_cuts):
+        for rho, center in uncertified_edge_cuts[::7]:
+            prog = sdp.KappaProgram(rho, DIMS3, center)
+            min_eig = np.linalg.eigvalsh(prog.blocks(prog.start))[:, 0].min()
+            assert min_eig >= sdp.WARM_START_MARGIN * (1.0 - 1e-6)
+
+
+class TestMirrorReuse:
+    @pytest.mark.parametrize("geometry, lam, gamma", [
+        ((1, 1), factorization_lambda(0.2) + 0.01, 0.2),
+        ((2, 2), factorization_lambda(0.8) - 0.01, 0.8),
+        ((4, 4), 1.16, 0.5),
+    ])
+    def test_center_two_matches_direct_solve(self, geometry, lam, gamma):
+        rho = rdm3(SpinGeometry(*geometry), ModelParams(lam, gamma)).matrix
+        rec = measures.evaluate(rho, DIMS3, solve_ppt=sdp.e_ppt)
+        assert rec.sdp_status == "ok"
+        direct, status = sdp.e_ppt(rho, DIMS3, 2)
+        assert status == "converged"
+        assert abs(rec.centers[2].e_ppt - direct) <= 1e-8
+
+    def test_solver_sees_two_centers_on_symmetric_states(self):
+        calls = []
+
+        def counting(rho, dims, center):
+            calls.append(center)
+            return sdp.e_ppt(rho, dims, center)
+
+        v = np.zeros(8)
+        v[0] = v[7] = 1.0 / np.sqrt(2.0)
+        symmetric = [np.outer(v, v)] + [
+            rdm3(SpinGeometry(a, a), ModelParams(lam, 0.5)).matrix
+            for a in (1, 2, 4) for lam in (0.8, 1.16)
+        ]
+        for rho in symmetric:
+            calls.clear()
+            measures.evaluate(rho, DIMS3, solve_ppt=counting)
+            assert calls == [0, 1]
+        calls.clear()
+        measures.evaluate(random_mixed(np.random.default_rng(53)), DIMS3, solve_ppt=counting)
+        assert calls == [0, 1, 2]

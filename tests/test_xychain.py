@@ -204,6 +204,37 @@ class TestGFinite:
             g_finite(0, ModelParams(1.0, 0.5))
 
 
+def linspace_graded_rule(lam, gamma, rmax):
+    """`_graded_rule` with each panel split by its own np.linspace."""
+    depth = max(min(abs(1.0 - lam), gamma) / 4.0, xychain._MIN_DEPTH)
+    levels = np.arange(int(np.ceil(np.log2(np.pi / depth))) + 1)
+    edges = [np.array([0.0]), np.pi * 0.5 ** levels]
+    if lam > 1.0:
+        t0 = np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))
+        steps = 0.25 * gamma * 2.0 ** np.arange(int(np.ceil(np.log2(4.0 * np.pi / gamma))) + 1)
+        edges += [np.array([t0]), t0 - steps, t0 + steps]
+    edges = np.unique(np.clip(np.concatenate(edges), 0.0, np.pi))
+    pieces = np.ceil(np.diff(edges) * max(rmax, 1) / xychain._MAX_PHASE).astype(int)
+    edges = np.concatenate([np.linspace(a, b, n, endpoint=False)
+                            for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    x, w = xychain._gauss_legendre()
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+class TestGradedRule:
+    def test_panel_split_matches_per_panel_linspace(self):
+        # bit for bit, across the grading's regimes and the phase splits
+        for lam in np.linspace(0.01, 3.0, 61):
+            for gamma in (1e-3, 0.05, 0.2, 0.5, 1.0):
+                for rmax in (0, 1, 3, 8, 20, 40):
+                    got = xychain._graded_rule(lam, gamma, rmax)
+                    want = linspace_graded_rule(lam, gamma, rmax)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b), (lam, gamma, rmax)
+
+
 class TestMomentumTable:
     def test_matches_30_digit_momentum_sum(self):
         # at and next to the gap closing, and away from it
