@@ -12,11 +12,15 @@ from itertools import repeat
 import numpy as np
 
 from . import measures, sdp
-from .linalg import matrix_sqrt_psd, partial_trace, trace_norm
+from .linalg import matrix_sqrt_psd, trace_norm
 from .xychain import ModelParams, SpinGeometry, factorization_lambda, rdm3
 
 LAMBDA_C = 1.0
 ZERO_THRESHOLD = 1e-9
+# a factorization dip must revive to this fraction of the window's maximum
+REVIVAL_FRACTION = 1e-3
+# bins of the inter-curve spread in `scaling_collapse`
+COLLAPSE_BINS = 20
 MEASURE_COLUMNS = ("n3", "t3", "tau_ub", "tau_lb")
 SDP_COLUMNS = frozenset({"tau_ub"})
 
@@ -73,9 +77,6 @@ class SweepTable:
             raise WindowError("grid spacing is not uniform")
         return float(diffs[0]) if len(diffs) else 0.0
 
-    def column(self, name):
-        return self.columns[name]
-
     def require_converged(self):
         """Raise NonConvergedPoint at the first row whose solves did not converge.
 
@@ -105,7 +106,7 @@ def measure_point(lam, gamma, alpha, beta, length=None, with_sdp=True):
     rec = measures.evaluate(
         rho.matrix, rho.dims, solve_ppt=sdp.e_ppt if with_sdp else None
     )
-    out = {
+    return {
         "lambda": lam,
         "n3": rec.n3,
         "t3": rec.t3,
@@ -117,7 +118,6 @@ def measure_point(lam, gamma, alpha, beta, length=None, with_sdp=True):
         "c_alpha": rec.concurrence_01,
         "status": rec.sdp_status,
     }
-    return out
 
 
 def _converged_point(lam, gamma, alpha, beta, length, with_sdp):
@@ -203,14 +203,13 @@ def _fit(x, y, window):
     )
 
 
-def fit_log_divergence(table, column, window=(3e-4, 3e-2), side="below",
-                       lambda_c=LAMBDA_C):
-    """Fit d_<column> = a * ln|lambda - lambda_c| + b on one side of lambda_c."""
+def fit_log_divergence(table, column, window=(3e-4, 3e-2), side="below"):
+    """Fit d_<column> = a * ln|lambda - LAMBDA_C| + b on one side of LAMBDA_C."""
     table.require_converged()
     name = "d_" + column
     if name not in table.columns:
         derivative(table, column)
-    dist = table.lambdas - lambda_c
+    dist = table.lambdas - LAMBDA_C
     mask = (np.abs(dist) >= window[0]) & (np.abs(dist) <= window[1])
     if side == "below":
         mask &= dist < 0
@@ -230,10 +229,10 @@ def fit_finite_size(scans):
     return _fit(x, y, (float(np.min(x)), float(np.max(x))))
 
 
-def fit_drift_exponent(scans, lambda_c=LAMBDA_C):
-    """Fit ln|lambda_m(L) - lambda_c| vs ln L; slope is -theta."""
+def fit_drift_exponent(scans):
+    """Fit ln|lambda_m(L) - LAMBDA_C| vs ln L; slope is -theta."""
     x = np.log([s.length for s in scans])
-    y = np.log([abs(s.lambda_m - lambda_c) for s in scans])
+    y = np.log([abs(s.lambda_m - LAMBDA_C) for s in scans])
     return _fit(x, y, (float(np.min(x)), float(np.max(x))))
 
 
@@ -270,18 +269,14 @@ class CollapseResult:
     spread: float                # worst binned inter-curve spread / data range
     window: tuple
 
-    @property
-    def lengths(self):
-        return sorted(self.curves)
 
-
-def scaling_collapse(tables, column, scans=None, n_bins=20, x_window=None):
+def scaling_collapse(tables, column, scans=None, x_window=None):
     """Rescale derivative curves to (L*(lambda-lambda_m), d - d(lambda_m)).
 
     `tables` maps length -> SweepTable with the derivative column present.
-    The quality metric is the worst binned inter-curve spread inside
-    `x_window` (default: the full common support), normalized by the data
-    range over the common support.
+    The quality metric is the worst inter-curve spread over COLLAPSE_BINS
+    bins inside `x_window` (default: the full common support), normalized by
+    the data range over the common support.
     """
     curves = {}
     for length, table in tables.items():
@@ -302,7 +297,7 @@ def scaling_collapse(tables, column, scans=None, n_bins=20, x_window=None):
     lo, hi = x_window if x_window is not None else (full_lo, full_hi)
 
     def binned(a, b):
-        edges = np.linspace(a, b, n_bins + 1)
+        edges = np.linspace(a, b, COLLAPSE_BINS + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         return np.vstack([np.interp(mids, *curves[L]) for L in curves])
 
@@ -345,8 +340,7 @@ def _golden_minimize(fn, lo, hi, tol=1e-9):
 SUDDEN_CHANGE_COLUMNS = ("n3", "tau_ub")
 
 
-def detect_factorization(evaluator, window, grid_step=2e-3,
-                         zero_threshold=ZERO_THRESHOLD, revival_fraction=1e-3):
+def detect_factorization(evaluator, window, grid_step=2e-3):
     """Locate the coupling where a measure collapses to zero and revives.
 
     `evaluator` maps lambda -> measure value.  The detector finds the grid
@@ -361,15 +355,15 @@ def detect_factorization(evaluator, window, grid_step=2e-3,
     if i == 0 or i == len(vals) - 1:
         raise FactorizationNotFound("measure minimum at window edge")
     scale = float(np.max(vals))
-    if scale <= zero_threshold:
+    if scale <= ZERO_THRESHOLD:
         raise FactorizationNotFound("measure is zero over the whole window")
     left, right = vals[:i], vals[i + 1:]
-    if min(left.max(), right.max()) < revival_fraction * scale:
+    if min(left.max(), right.max()) < REVIVAL_FRACTION * scale:
         raise FactorizationNotFound(
             "no sudden change: measure does not revive on both sides of the dip"
         )
     lam, dip = _golden_minimize(evaluator, lambdas[i - 1], lambdas[i + 1])
-    if dip > zero_threshold:
+    if dip > ZERO_THRESHOLD:
         raise FactorizationNotFound(
             f"dip bottom {dip:.3e} stays above the zero threshold"
         )
@@ -425,11 +419,8 @@ def factorization_scaling(gamma, alpha, beta, column, lengths):
         row = _converged_point(lam_f, gamma, alpha, beta, int(L),
                                with_sdp=column in SDP_COLUMNS)
         vals.append(row[column])
-        params = ModelParams(lam_f, gamma, int(L))
-        rho_nn, pdims = partial_trace(
-            rdm3(SpinGeometry(1, 1), params).matrix, (2, 2, 2), keep=[0, 1]
-        )
-        c1.append(measures.concurrence(rho_nn))
+        rho = rdm3(SpinGeometry(1, 1), ModelParams(lam_f, gamma, int(L)))
+        c1.append(measures.evaluate(rho.matrix).concurrence_01)
     lengths = np.asarray(lengths, dtype=int)
     vals = np.asarray(vals)
     fit = _fit(lengths, np.log(np.clip(vals, 1e-300, None)),
@@ -462,11 +453,10 @@ def _bisect_edge(flag_fn, lam_in, lam_out, tol=5e-5):
 
 
 def bound_entanglement_scan(gamma, alpha, beta, lambdas, length=None,
-                            neg_threshold=ZERO_THRESHOLD, tau_threshold=1e-12,
-                            refine=True, workers=1):
+                            tau_threshold=1e-12, refine=True, workers=1):
     """Windows where the outer cut is PPT yet the state stays correlated.
 
-    A grid point is flagged when N(rho_{i|jk}) < neg_threshold while there
+    A grid point is flagged when N(rho_{i|jk}) < ZERO_THRESHOLD while there
     is still entanglement evidence: tau_ub above threshold or one of the
     other two cuts NPT.  All three partition negativities are recorded.
     """
@@ -474,9 +464,9 @@ def bound_entanglement_scan(gamma, alpha, beta, lambdas, length=None,
     def flagged(row):
         # row: one measure_point dict, or the columns of a whole table
         evidence = ((row["tau_ub"] > tau_threshold)
-                    | (row["neg_j"] > neg_threshold)
-                    | (row["neg_k"] > neg_threshold))
-        return (row["neg_i"] < neg_threshold) & evidence
+                    | (row["neg_j"] > ZERO_THRESHOLD)
+                    | (row["neg_k"] > ZERO_THRESHOLD))
+        return (row["neg_i"] < ZERO_THRESHOLD) & evidence
 
     def flag_at(lam):
         return flagged(_converged_point(lam, gamma, alpha, beta, length, with_sdp=True))

@@ -1,11 +1,11 @@
 """Brute-force exact-diagonalization oracle for small odd chains.
 
 Builds the full 2^L Hamiltonian with periodic boundary conditions and finds
-ground states, both unrestricted and within a fixed spin-parity (prod sigma_z)
-sector.  The analytic correlator construction always reproduces the lowest
-eigenstate of the parity = (-1)^L sector, which for some couplings in the
-ordered phase is the first excited state overall; the sector-resolved solve
-is what the cross-validation suite compares against.
+the lowest eigenstate within a fixed spin-parity (prod sigma_z) sector.  The
+analytic correlator construction always reproduces the lowest eigenstate of
+the parity = (-1)^L sector, which for some couplings in the ordered phase is
+the first excited state overall; that sector's state is what the
+cross-validation suite compares against.
 
 Site 0 is the most significant bit of the basis index; |0> is sigma_z = +1.
 """
@@ -34,7 +34,7 @@ def _length(ham):
 
 def build_hamiltonian(length, params):
     """H = -lambda sum[(1+g)/2 XX + (1-g)/2 YY] + sum Z, site L+1 = 1, as CSR."""
-    # scipy is imported here and in _lowest_eigenpairs only, so that the
+    # scipy is imported here and in _lowest_eigenpair only, so that the
     # package without exact diagonalization needs numpy alone
     from scipy import sparse
 
@@ -74,46 +74,21 @@ def spin_parity_diagonal(length):
     return (-1.0) ** _popcount(length)
 
 
-def _lowest_eigenpairs(matrix, k):
+def _lowest_eigenpair(matrix):
+    """(energy, vector) of the lowest level: dense up to 512 rows, seeded
+    Lanczos above."""
     dim = matrix.shape[0]
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v0 = rng.standard_normal(dim)
     if dim <= 512:
         w, v = np.linalg.eigh(matrix.toarray())
-        return w[:k], v[:, :k]
+        return float(w[0]), v[:, 0]
     from scipy.sparse.linalg import eigsh
 
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
     try:
-        w, v = eigsh(matrix, k=k, which="SA", v0=v0)
+        w, v = eigsh(matrix, k=1, which="SA", v0=v0)
     except Exception as exc:  # pragma: no cover - diagnostic path
         raise ConvergenceError(f"Lanczos failed: {exc}") from exc
-    order = np.argsort(w)
-    return w[order], v[:, order]
-
-
-def ground_state(ham, degeneracy_tol=1e-9):
-    """(energy, state) for the absolute ground state.
-
-    If the two lowest levels coincide within `degeneracy_tol`, the returned
-    state is the even spin-parity combination (parity expectation > 0).
-    """
-    w, v = _lowest_eigenpairs(ham, k=2)
-    energy = float(w[0])
-    state = v[:, 0].astype(complex)
-    if w[1] - w[0] < degeneracy_tol:
-        pz = spin_parity_diagonal(_length(ham))
-        # diagonalize parity within the degenerate 2d space
-        block = np.array(
-            [[(v[:, a].conj() * pz) @ v[:, b] for b in (0, 1)] for a in (0, 1)]
-        )
-        pw, pv = np.linalg.eigh(0.5 * (block + block.conj().T))
-        pick = int(np.argmax(pw))
-        state = (v[:, :2] @ pv[:, pick]).astype(complex)
-    state /= np.linalg.norm(state)
-    residual = np.linalg.norm(ham @ state - energy * state)
-    if residual > 1e-8:
-        raise ConvergenceError(f"eigenpair residual {residual:.3e}")
-    return energy, state
+    return float(w[0]), v[:, 0]
 
 
 def ground_state_in_parity(ham, parity):
@@ -121,11 +96,11 @@ def ground_state_in_parity(ham, parity):
     if parity not in (-1, 1):
         raise ValueError(f"parity must be +-1, got {parity}")
     keep = np.nonzero(spin_parity_diagonal(_length(ham)) == parity)[0]
-    w, v = _lowest_eigenpairs(ham[keep][:, keep], k=1)
+    energy, vec = _lowest_eigenpair(ham[keep][:, keep])
     state = np.zeros(ham.shape[0], dtype=complex)
-    state[keep] = v[:, 0]
+    state[keep] = vec
     state /= np.linalg.norm(state)
-    return float(w[0]), state
+    return energy, state
 
 
 def reference_state(ham):

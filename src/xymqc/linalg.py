@@ -54,10 +54,6 @@ class DensityMatrix:
         if validate:
             self.validate()
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def validate(self):
         validate_density(self.matrix)
 

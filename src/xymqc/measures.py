@@ -33,7 +33,7 @@ evaluated in real arithmetic.  One more table, `_MIRROR` (64,), gathers
 rho's image under swapping qubits 0 and 2; a state equal to it has equal
 E_kappa on the cuts 0 | 12 and 2 | 01, so the solver runs on two cuts.
 
-`n3`, `t3`, `tau_ub` and `tau_lb` are views of that record.
+`n3` is a view of that record; the other measures are read from it.
 """
 
 import math
@@ -127,18 +127,6 @@ def eof_from_concurrence(c):
     return binary_entropy(0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c))))
 
 
-def ef_lower_bound(rho, dims, part):
-    """Analytic lower bound on E_f across the cut part | rest.
-
-    Uses the larger of the partial-transpose and realignment trace norms.
-    """
-    dims = tuple(dims)
-    front = _permute_to_front(rho, dims, part)
-    cut = (dims[part], front.shape[-1] // dims[part])
-    pt_norm = float(_hermitian_trace_norm(partial_transpose(front, cut, 0)))
-    return _ef_bound(max(pt_norm, trace_norm(realignment(front, cut))))
-
-
 def _ef_bound(lam):
     """Chen-Albeverio-Fei E_f bound from the larger trace norm `lam`."""
     if lam > 2.0 + 1e-9:
@@ -187,28 +175,6 @@ _CUT_PT, _CUT_RE, _PAIR, _PAIR_PT, _MIRROR = _gather_tables()
 def n3(rho, dims=DIMS3):
     """Geometric mean of the three one-vs-two negativities."""
     return evaluate(rho, dims).n3
-
-
-def t3(rho, dims=DIMS3):
-    """Negativity monogamy residual averaged over centers, clamped at 0."""
-    return evaluate(rho, dims).t3
-
-
-def tau_ub(rho, e_ppt_values, dims=DIMS3):
-    """Mean residual of squared PPT entanglement cost; not clamped at zero.
-
-    `e_ppt_values` holds the three cuts' E_kappa by center; for a
-    mirror-symmetric rho, `evaluate` takes center 2's from center 0.
-    """
-    def given(_rho, _dims, center):
-        return e_ppt_values[center], "converged"
-
-    return evaluate(rho, dims, solve_ppt=given).tau_ub
-
-
-def tau_lb(rho, dims=DIMS3):
-    """Mean residual of the squared E_f lower bound, clamped at zero."""
-    return evaluate(rho, dims).tau_lb
 
 
 def evaluate(rho, dims=DIMS3, solve_ppt=None):

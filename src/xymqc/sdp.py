@@ -55,6 +55,7 @@ import numpy as np
 from .linalg import trace_norm  # noqa: F401
 from .measures import _CUT_PT, DIMS3
 
+# the solver's stopping rule, read at every call
 GAP_TOL = 1e-9
 MAX_ITERS = 200
 # the solver starts WARM_START_MARGIN inside every constraint block
@@ -90,7 +91,6 @@ class SdpSolution:
     # and was solved by least squares)
     status: str
     dual_blocks: list = field(repr=False, default=None)
-    pt_trace_norm: float = 0.0
 
 
 @dataclass
@@ -230,12 +230,12 @@ class KappaProgram:
         return out
 
 
-def solve_kappa(rho, dims=(2, 2, 2), center=0, gap_tol=GAP_TOL, max_iters=MAX_ITERS):
+def solve_kappa(rho, dims=(2, 2, 2), center=0):
     """PPT exact entanglement cost across the cut center | rest."""
-    return _solve_program(KappaProgram(rho, dims, center), gap_tol, max_iters)
+    return _solve_program(KappaProgram(rho, dims, center))
 
 
-def _solve_program(prog, gap_tol=GAP_TOL, max_iters=MAX_ITERS):
+def _solve_program(prog):
     k, d = prog.ops.shape[1:3]
     p = len(prog.sectors)
 
@@ -246,9 +246,9 @@ def _solve_program(prog, gap_tol=GAP_TOL, max_iters=MAX_ITERS):
     status = "max-iterations"
     fallback = False
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         gap = _inner(x, z)
-        if gap < gap_tol:
+        if gap < GAP_TOL:
             status = "converged"
             break
         mu = gap / (k * d)
@@ -297,7 +297,6 @@ def _solve_program(prog, gap_tol=GAP_TOL, max_iters=MAX_ITERS):
         iterations=iters,
         status=status,
         dual_blocks=[prog.full(x[i * p:(i + 1) * p]) for i in range(3)],
-        pt_trace_norm=prog.pt_norm,
     )
 
 
@@ -363,7 +362,7 @@ def _newton_step(prog, x, z_inv, w, schur, target):
     return ds, dz, 0.5 * (dx + _dag(dx))
 
 
-def verify_solution(rho, dims, center, solution, gap_tol=1e-6, feas_tol=1e-8):
+def verify_solution(rho, dims, center, solution):
     """Independent feasibility/optimality audit of a returned solution.
 
     It works on the full matrices, not on the solver's reduced blocks.
@@ -383,12 +382,12 @@ def verify_solution(rho, dims, center, solution, gap_tol=1e-6, feas_tol=1e-8):
         gap = float(np.real(np.trace(s)) - dual_objective)
     else:
         dual_min, dual_resid, gap = (), np.inf, np.inf
-    feasible = all(e >= -feas_tol for e in min_eigs)
+    feasible = all(e >= -1e-8 for e in min_eigs)
     optimal = (
         feasible
-        and all(e >= -feas_tol for e in dual_min)
+        and all(e >= -1e-8 for e in dual_min)
         and dual_resid < 1e-7
-        and abs(gap) < gap_tol
+        and abs(gap) < 1e-6
     )
     return VerificationReport(
         min_eigs=min_eigs,
@@ -419,6 +418,6 @@ def e_ppt(rho, dims=(2, 2, 2), center=0):
     return sol.e_kappa, sol.status
 
 
-def binegativity_is_psd(rho, dims=(2, 2, 2), center=0, tol=CERTIFICATE_TOL):
+def binegativity_is_psd(rho, dims=(2, 2, 2), center=0):
     """True when |rho^T|^T is PSD, which forces e_kappa to equal LN."""
-    return _binegativity(rho, dims, center)[0] >= -tol
+    return _binegativity(rho, dims, center)[0] >= -CERTIFICATE_TOL

@@ -356,29 +356,3 @@ def factorization_lambda(gamma):
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"factorization point requires gamma in (0, 1), got {gamma}")
     return 1.0 / np.sqrt(1.0 - gamma * gamma)
-
-
-def factorized_pair(length, gamma):
-    """Even/odd-parity eigenstates at the factorization point of a finite chain.
-
-    Both are built from the product states phi_± with single-site tilt angles
-    theta_± = ±arccos(sqrt((1-gamma)/(1+gamma))).
-    """
-    if length % 2 == 0 or length > 14:
-        raise ValueError(f"length must be odd and <= 14, got {length}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    cos_theta = np.sqrt((1.0 - gamma) / (1.0 + gamma))
-    theta = np.arccos(cos_theta)
-    # tilt away from |1>, the field-aligned state of the +sum(Z) Hamiltonian
-    up = np.array([np.sin(theta / 2.0), np.cos(theta / 2.0)])
-    dn = np.array([-np.sin(theta / 2.0), np.cos(theta / 2.0)])
-    phi_p = np.array([1.0])
-    phi_m = np.array([1.0])
-    for _ in range(length):
-        phi_p = np.kron(phi_p, up)
-        phi_m = np.kron(phi_m, dn)
-    overlap = cos_theta ** length
-    even = (phi_p + phi_m) / np.sqrt(2.0 * (1.0 + overlap))
-    odd = (phi_p - phi_m) / np.sqrt(2.0 * (1.0 - overlap))
-    return even.astype(complex), odd.astype(complex)

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -368,9 +366,7 @@ class TestNonConvergedPoint:
 
     @pytest.fixture
     def two_iterations(self, monkeypatch):
-        monkeypatch.setattr(
-            sdp, "solve_kappa", functools.partial(sdp.solve_kappa, max_iters=2)
-        )
+        monkeypatch.setattr(sdp, "MAX_ITERS", 2)
 
     def test_bound_scan_raises(self, two_iterations):
         with pytest.raises(NonConvergedPoint) as err:

@@ -213,7 +213,7 @@ class TestMatrixSqrt:
 class TestDensityMatrix:
     def test_valid(self):
         dm = DensityMatrix(np.eye(8) / 8.0, (2, 2, 2))
-        assert dm.dim == 8
+        assert dm.matrix.shape == (8, 8)
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4) / 4.0

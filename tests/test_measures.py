@@ -6,14 +6,10 @@ from xymqc.linalg import partial_trace, partial_transpose, realignment, trace_no
 from xymqc.measures import (
     binary_entropy,
     concurrence,
-    ef_lower_bound,
     eof_from_concurrence,
     evaluate,
     n3,
     negativity,
-    t3,
-    tau_lb,
-    tau_ub,
 )
 from xymqc.xychain import ModelParams, SpinGeometry, rdm3
 
@@ -54,6 +50,14 @@ def random_qubit(rng):
 def random_product3(rng):
     rho = np.kron(random_qubit(rng), np.kron(random_qubit(rng), random_qubit(rng)))
     return rho
+
+
+def fixed_cost(e_ppt_values):
+    """A `solve_ppt` that returns the given E_kappa of each cut, by center."""
+    def given(_rho, _dims, center):
+        return e_ppt_values[center], "converged"
+
+    return given
 
 
 class TestNegativity:
@@ -143,23 +147,23 @@ class TestEfLowerBound:
     def test_product_zero(self):
         rng = np.random.default_rng(3)
         rho = random_product3(rng)
-        assert ef_lower_bound(rho, DIMS3, 0) == 0.0
+        assert evaluate(rho).centers[0].ef_lb == 0.0
 
     def test_ghz_saturates(self):
-        assert abs(ef_lower_bound(ghz(), DIMS3, 0) - 1.0) < 1e-12
+        assert abs(evaluate(ghz()).centers[0].ef_lb - 1.0) < 1e-12
 
     def test_bell_embedding_tight(self):
         rho = np.kron(bell(), np.diag([1.0, 0.0]).astype(complex))
-        assert abs(ef_lower_bound(rho, DIMS3, 0) - 1.0) < 1e-12
+        assert abs(evaluate(rho).centers[0].ef_lb - 1.0) < 1e-12
 
 
 class TestTripartite:
     def test_ghz_all_measures_one(self):
-        rho = ghz()
-        assert abs(n3(rho) - 1.0) < 1e-12
-        assert abs(t3(rho) - 1.0) < 1e-12
-        assert abs(tau_lb(rho) - 1.0) < 1e-12
-        assert abs(tau_ub(rho, (1.0, 1.0, 1.0)) - 1.0) < 1e-12
+        rec = evaluate(ghz(), solve_ppt=fixed_cost((1.0, 1.0, 1.0)))
+        assert abs(rec.n3 - 1.0) < 1e-12
+        assert abs(rec.t3 - 1.0) < 1e-12
+        assert abs(rec.tau_lb - 1.0) < 1e-12
+        assert abs(rec.tau_ub - 1.0) < 1e-12
 
     def test_biseparable_n3_vanishes(self):
         rng = np.random.default_rng(5)
@@ -169,10 +173,10 @@ class TestTripartite:
     def test_product_states_vanish(self):
         rng = np.random.default_rng(6)
         for _ in range(40):
-            rho = random_product3(rng)
-            assert n3(rho) < 1e-9
-            assert t3(rho) < 1e-9
-            assert tau_lb(rho) < 1e-9
+            rec = evaluate(random_product3(rng))
+            assert rec.n3 < 1e-9
+            assert rec.t3 < 1e-9
+            assert rec.tau_lb < 1e-9
 
     def test_w_state_t3_regression(self):
         # frozen from the eigenvalue evaluation of the W-state marginals:
@@ -183,7 +187,7 @@ class TestTripartite:
         n_pair = negativity(pair, pdims, 0)
         assert abs(n_pair - (np.sqrt(5.0) - 1.0) / 3.0) < 1e-12
         expect = n_cut**2 - 2.0 * n_pair**2
-        assert abs(t3(rho) - expect) < 1e-12
+        assert abs(evaluate(rho).t3 - expect) < 1e-12
 
     def test_monogamy_on_random_pure_states(self):
         rng = np.random.default_rng(7)
@@ -202,7 +206,7 @@ class TestTripartite:
         # zero cost with entangled marginals drives the mean negative
         rng = np.random.default_rng(8)
         rho = np.kron(bell(), random_qubit(rng))
-        val = tau_ub(rho, (0.0, 0.0, 1.0))
+        val = evaluate(rho, solve_ppt=fixed_cost((0.0, 0.0, 1.0))).tau_ub
         assert val < 0.0
 
 
@@ -256,6 +260,40 @@ class TestBoundOrdering:
             rho = rdm3(SpinGeometry(*geom), ModelParams(lam, gamma))
             rec = evaluate(rho.matrix, rho.dims, solve_ppt=sdp.e_ppt)
             assert rec.tau_lb <= rec.tau_ub + 1e-6
+
+
+def factorized_mixture(gamma):
+    """(P+^{x3} + P-^{x3}) / 2 with P± = |u±><u±|, u± = (±sin(θ/2), cos(θ/2))
+    and cos θ = sqrt((1-γ)/(1+γ)): the exact three-spin state of the infinite
+    chain at its factorization point, for every geometry."""
+    theta = np.arccos(np.sqrt((1.0 - gamma) / (1.0 + gamma)))
+    rho = np.zeros((8, 8))
+    for sign in (1.0, -1.0):
+        u = np.array([sign * np.sin(theta / 2.0), np.cos(theta / 2.0)])
+        p = np.outer(u, u)
+        rho += 0.5 * np.kron(p, np.kron(p, p))
+    return rho
+
+
+def factorization_point_states(gamma):
+    """(geometry, rdm3 matrix) pairs of the infinite chain at lambda_f."""
+    params = ModelParams(xychain.factorization_lambda(gamma), gamma)
+    for geom in ((1, 1), (2, 1), (3, 4), (7, 7)):
+        yield geom, rdm3(SpinGeometry(*geom), params).matrix
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+class TestThermodynamicFactorizationPoint:
+    def test_rdm3_is_the_product_mixture(self, gamma):
+        expect = factorized_mixture(gamma)
+        for geom, rho in factorization_point_states(gamma):
+            assert np.max(np.abs(rho - expect)) <= 1e-12, geom
+
+    def test_measures_vanish(self, gamma):
+        for geom, rho in factorization_point_states(gamma):
+            rec = evaluate(rho, solve_ppt=sdp.e_ppt)
+            assert rec.n3 == 0.0 and rec.tau_lb == 0.0, geom
+            assert abs(rec.t3) <= 1e-12 and abs(rec.tau_ub) <= 1e-12, geom
 
 
 def random_mixed3(rng):
@@ -367,8 +405,6 @@ class TestSinglePassKernel:
         assert trace_norm(partial_transpose(rho, DIMS3, 0)) > 2.0
         with pytest.raises(ValueError, match="trace-norm bound"):
             evaluate(rho)
-        with pytest.raises(ValueError, match="trace-norm bound"):
-            ef_lower_bound(rho, DIMS3, 0)
 
     def test_rejects_non_three_qubit_dims(self):
         for dims in ((2, 4), (4, 2), (2, 2, 2, 1)):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import factorized_pair
 from xymqc import xychain
 from xymqc.linalg import partial_trace
 from xymqc.xychain import (
@@ -17,7 +18,6 @@ from xymqc.xychain import (
     _wick_index,
     correlators,
     factorization_lambda,
-    factorized_pair,
     g_finite,
     g_infinite,
     rdm3,
