@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage, 3 I/O.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -286,7 +287,13 @@ def _add_common(p, chain=True, workers=True):
     p.add_argument("--output", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser():
+    """The `xymqc` argument parser, built once per process.
+
+    parse_args keeps no state on the parser: every call fills a fresh
+    namespace from the defaults, so in-process callers may share it.
+    """
     parser = argparse.ArgumentParser(
         prog="xymqc",
         description="Tripartite quantum correlations in the transverse-field XY chain",

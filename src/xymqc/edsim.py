@@ -1,7 +1,9 @@
 """Brute-force exact-diagonalization oracle for small odd chains.
 
-Builds the full 2^L Hamiltonian with periodic boundary conditions and finds
-the lowest eigenstate within a fixed spin-parity (prod sigma_z) sector.  The
+Builds the full 2^L Hamiltonian with periodic boundary conditions straight
+into CSR form (every row holds the field term and one hopping entry per
+bond) and finds the lowest eigenstate within a fixed spin-parity
+(prod sigma_z) sector.  That state is real, and so are its reduced states.  The
 analytic correlator construction always reproduces the lowest eigenstate of
 the parity = (-1)^L sector, which for some couplings in the ordered phase is
 the first excited state overall; that sector's state is what the
@@ -23,8 +25,10 @@ class ConvergenceError(RuntimeError):
 
 def _popcount(length):
     """Number of one bits of every basis index 0 .. 2^length - 1."""
-    n = np.arange(1 << length, dtype=np.int64)
-    return sum((n >> s) & 1 for s in range(length))
+    count = np.zeros(1 << length, dtype=np.int64)
+    for k in range(length):  # indices 2^k .. 2^(k+1) - 1 add bit k to 0 .. 2^k - 1
+        count[1 << k: 2 << k] = count[: 1 << k] + 1
+    return count
 
 
 def _length(ham):
@@ -33,7 +37,12 @@ def _length(ham):
 
 
 def build_hamiltonian(length, params):
-    """H = -lambda sum[(1+g)/2 XX + (1-g)/2 YY] + sum Z, site L+1 = 1, as CSR."""
+    """H = -lambda sum[(1+g)/2 XX + (1-g)/2 YY] + sum Z, site L+1 = 1, as CSR.
+
+    Row n holds L + 1 entries: the field term at column n, then each bond's
+    hopping at column n XOR its bond mask, so the arrays are filled directly
+    (columns unsorted within a row; every stored entry is distinct).
+    """
     # scipy is imported here and in _lowest_eigenpair only, so that the
     # package without exact diagonalization needs numpy alone
     from scipy import sparse
@@ -42,36 +51,28 @@ def build_hamiltonian(length, params):
         raise ValueError(f"length must be odd in [5, 14], got {length}")
     lam, gamma = params.lam, params.gamma
     dim = 1 << length
-    n = np.arange(dim, dtype=np.int64)
-
+    n = np.arange(dim, dtype=np.int32)
+    shift = length - 1 - np.arange(length, dtype=np.int32)   # bit of site i
+    # bit i of `differ` is set where sites i and i+1 differ
+    differ = n ^ (((n << 1) | (n >> (length - 1))) & (dim - 1))
+    # rows are short (L + 1), so the entries are computed bond by bond, with
+    # the long axis innermost, and stored transposed
+    cols = np.empty((dim, length + 1), dtype=np.int32)
+    vals = np.empty((dim, length + 1))
     # field term: sum_i sigma_z, diagonal = (# zero bits) - (# one bits)
-    rows, cols, vals = [n], [n], [(length - 2 * _popcount(length)).astype(float)]
-
-    for i in range(length):
-        j = (i + 1) % length
-        mask = (1 << (length - 1 - i)) | (1 << (length - 1 - j))
-        bi = (n >> (length - 1 - i)) & 1
-        bj = (n >> (length - 1 - j)) & 1
-        # XX flips both bits with +1; YY flips with -1 if bits equal else +1
-        equal = bi == bj
-        coeff = np.where(
-            equal,
-            -lam * ((1 + gamma) / 2 - (1 - gamma) / 2),
-            -lam * ((1 + gamma) / 2 + (1 - gamma) / 2),
-        )
-        rows.append(n)
-        cols.append(n ^ mask)
-        vals.append(coeff)
-
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
+    cols[:, 0] = n
+    vals[:, 0] = length - 2 * _popcount(length)
+    # bond (i, i+1): XX flips both bits with +1, YY with -1 if the bits are
+    # equal, else +1
+    cols[:, 1:] = (n ^ ((1 << shift) | (1 << np.roll(shift, -1)))[:, None]).T
+    vals[:, 1:] = np.where(differ & (1 << shift)[:, None], -lam, -lam * gamma).T
+    indptr = np.arange(0, cols.size + 1, length + 1, dtype=np.int32)
+    return sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(dim, dim))
 
 
 def spin_parity_diagonal(length):
     """Diagonal of prod_i sigma_z in the computational basis."""
-    return (-1.0) ** _popcount(length)
+    return 1.0 - 2.0 * (_popcount(length) & 1)
 
 
 def _lowest_eigenpair(matrix):
@@ -92,12 +93,13 @@ def _lowest_eigenpair(matrix):
 
 
 def ground_state_in_parity(ham, parity):
-    """(energy, state) of the lowest eigenstate with prod sigma_z = parity."""
+    """(energy, state) of the lowest eigenstate with prod sigma_z = parity,
+    in the eigenvector's dtype (real for the real-symmetric H)."""
     if parity not in (-1, 1):
         raise ValueError(f"parity must be +-1, got {parity}")
     keep = np.nonzero(spin_parity_diagonal(_length(ham)) == parity)[0]
     energy, vec = _lowest_eigenpair(ham[keep][:, keep])
-    state = np.zeros(ham.shape[0], dtype=complex)
+    state = np.zeros(ham.shape[0], dtype=vec.dtype)
     state[keep] = vec
     state /= np.linalg.norm(state)
     return energy, state
@@ -111,7 +113,8 @@ def reference_state(ham):
 def reduced_states(state, site_lists, length=None):
     """Partial traces of |state><state|, one per list of kept sites, as a
     validated (n, 2^m, 2^m) stack; every list holds m sites, kept in the
-    listed order (the first listed site is the most significant).
+    listed order (the first listed site is the most significant).  A real
+    state gives a real stack, a complex one a complex stack.
     """
     state = np.asarray(state)
     if length is None:
@@ -125,10 +128,12 @@ def reduced_states(state, site_lists, length=None):
         if len(sites) != m:
             raise ValueError(f"site lists hold {m} and {len(sites)} sites")
     t = state.reshape([2] * length)
-    rho = np.empty((len(site_lists), 1 << m, 1 << m), dtype=complex)
+    real = not np.iscomplexobj(state)
+    rho = np.empty((len(site_lists), 1 << m, 1 << m), dtype=float if real else complex)
     for k, sites in enumerate(site_lists):
-        p = np.moveaxis(t, sites, range(m)).reshape(1 << m, -1)
-        rho[k] = p @ p.conj().T
+        p = t.transpose(*sites, *(s for s in range(length) if s not in sites))
+        p = p.reshape(1 << m, -1)
+        rho[k] = p @ (p.T if real else p.conj().T)
     rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
     validate_density(rho)
     return rho

@@ -199,7 +199,7 @@ class KappaProgram:
     def __init__(self, rho, dims, center):
         rho_pt = _cut_pt(rho, dims, center)
         real_data = not np.iscomplexobj(rho_pt)
-        self.pt_norm, abs_pt_pt, min_eig = _certificate(rho_pt)
+        _, abs_pt_pt, min_eig = _certificate(rho_pt)
         self.ops, self.sectors = _block_basis(real_data, _has_parity(rho_pt))
         p = len(self.sectors)
         r = self._by_sector(rho_pt)

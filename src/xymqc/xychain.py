@@ -28,8 +28,9 @@ McCoy 1971) built by one sign rule:
 - any other Z adds its site to both lists and multiplies the sign by -1;
 - <P> = sign * det[g(b_j - a_i)] over the sorted lists.
 
-All 19 determinants of a state, or of every geometry at one parameter point
-(`rdm3_many`), come from one stacked `np.linalg.det` call.
+The 19 determinants of a state come from one stacked `np.linalg.det` call;
+the many more of every geometry at one parameter point (`rdm3_many`) from
+one call per group of matrix sizes (`_wick_table`).
 
 Basis conventions: |0> is the sigma_z = +1 eigenstate, the basis index of a
 spin triple is 4*s1 + 2*s2 + s3 (leftmost site most significant).  At
@@ -261,10 +262,13 @@ _STRINGS = ("ZII", "IZI", "IIZ", "ZZI", "ZIZ", "IZZ", "ZZZ", "XXI", "YYI", "XXZ"
             "YYZ", "XIX", "YIY", "XZX", "YZY", "IXX", "IYY", "ZXX", "ZYY")
 _PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
           "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
-# Every string holds an even number of Y, so its 8x8 matrix is real.
-_STRING_MATRICES = np.array(
-    [np.kron(np.kron(_PAULI[a], _PAULI[b]), _PAULI[c]).real for a, b, c in _STRINGS]
-)
+# Every string holds an even number of Y, so its 8x8 matrix is real.  The
+# rows hold each string matrix, and the identity, over 8 and flattened; the
+# power-of-two scale keeps rho = (I + sum <P> P) / 8 exact.
+_STRING_ROWS = np.array(
+    [np.kron(np.kron(_PAULI[a], _PAULI[b]), _PAULI[c]).real.ravel() for a, b, c in _STRINGS]
+) / 8.0
+_IDENTITY_ROW = np.eye(8).ravel() / 8.0
 
 
 def _wick_lists(string, sites):
@@ -296,50 +300,74 @@ def _wick_index(a_sites, b_sites, size, rmax):
     return index
 
 
-def _wick_dets(gv, index):
-    """Determinants of a stack of `_wick_index` matrices over gv = g(-rmax..rmax)."""
-    return np.linalg.det(np.concatenate([gv, [0.0, 1.0]])[index])
+def _wick_dets(gv, stacks):
+    """Determinants of every matrix of a sequence of `_wick_index` stacks over
+    gv = g(-rmax..rmax), concatenated in order; one `np.linalg.det` per stack."""
+    values = np.concatenate([gv, [0.0, 1.0]])
+    return np.concatenate([np.linalg.det(values[index]) for index in stacks])
 
 
 # Holds the two geometry tuples of `verify` at L = 11 and 13 beside the
 # single geometries that sweeps and tests ask for.
 @functools.lru_cache(maxsize=128)
 def _wick_table(geoms):
-    """Read-only (index stack, signs, rmax) of the `_STRINGS` determinants at
-    every (alpha, beta) of the tuple `geoms`.
+    """Read-only (index stacks, order, signs, rmax) of the `_STRINGS`
+    determinants at every (alpha, beta) of the tuple `geoms`.
 
-    All n * 19 matrices share one size and one lag vector g(-rmax..rmax),
-    rmax being the largest span; the index has shape (n * 19, size, size)
-    and the signs (n, 19).  The index is held in the smallest unsigned dtype
-    that reaches 2 * rmax + 2 (one byte up to rmax = 126), which numpy widens
-    as it gathers.
+    Every matrix reads one lag vector g(-rmax..rmax), rmax being the largest
+    span.  The matrices are grouped by size: taking sizes from the largest
+    down, all matrices of a size join the open group, and a group closes once
+    it holds more than 19 matrices.  One geometry (19 matrices) is thus one
+    group, and a `verify` stack one group per size, whose padded LU work
+    equals the matrices' own.  Each group is a (k, size, size) index stack
+    padded to its largest size, for one `np.linalg.det` call; `order` takes
+    the concatenated determinants back to string order, and the signs have
+    shape (n, 19).  Indices are held in the smallest unsigned dtype that
+    reaches 2 * rmax + 2 (one byte up to rmax = 126), which numpy widens as
+    it gathers.
     """
     rmax = max(alpha + beta for alpha, beta in geoms)
     lists = [_wick_lists(string, (-alpha, 0, beta))
              for alpha, beta in geoms for string in _STRINGS]
-    size = max(len(a) for a, _, _ in lists)
-    index = np.array([_wick_index(a, b, size, rmax) for a, b, _ in lists],
-                     dtype=np.min_scalar_type(2 * rmax + 2))
+    sizes = [len(a) for a, _, _ in lists]
+    groups, members = [], []
+    for size in sorted(set(sizes), reverse=True):
+        members += [k for k, s in enumerate(sizes) if s == size]
+        if len(members) > len(_STRINGS):
+            groups.append(members)
+            members = []
+    if members:
+        groups.append(members)
+    dtype = np.min_scalar_type(2 * rmax + 2)
+    stacks = tuple(
+        np.array([_wick_index(*lists[k][:2], sizes[group[0]], rmax) for k in group],
+                 dtype=dtype)
+        for group in groups
+    )
+    order = np.argsort(np.concatenate(groups))
     signs = np.array([sign for _, _, sign in lists]).reshape(len(geoms), len(_STRINGS))
-    index.flags.writeable = signs.flags.writeable = False
-    return index, signs, rmax
+    for a in (*stacks, order, signs):
+        a.flags.writeable = False
+    return stacks, order, signs, rmax
 
 
 def _rdm3_stack(geoms, params):
     """Unvalidated real (n, 8, 8) stack of the `rdm3_many` states."""
     for geom in geoms:
         geom.validate_for(params)
-    index, signs, rmax = _wick_table(tuple((geom.alpha, geom.beta) for geom in geoms))
-    values = signs * _wick_dets(correlators(params, rmax), index).reshape(signs.shape)
+    stacks, order, signs, rmax = _wick_table(tuple((geom.alpha, geom.beta) for geom in geoms))
+    dets = _wick_dets(correlators(params, rmax), stacks)
+    values = signs * dets[order].reshape(signs.shape)
     # exactly symmetric, since every string matrix is
-    return (np.eye(8) + np.tensordot(values, _STRING_MATRICES, axes=1)) / 8.0
+    return (_IDENTITY_ROW + values @ _STRING_ROWS).reshape(-1, 8, 8)
 
 
 def rdm3_many(geoms, params):
     """Validated (n, 8, 8) stack of the three-spin reduced density matrices
     of every geometry in `geoms` at one parameter point.
 
-    One `correlators` call and one `np.linalg.det` call serve the whole stack.
+    One `correlators` call serves the whole stack, and one `np.linalg.det`
+    call each group of Wick-matrix sizes (`_wick_table`).
     """
     m = _rdm3_stack(geoms, params)
     validate_density(m)

@@ -2,8 +2,9 @@
 
 Each one is computed independently of the package code it checks: the
 exact factorized eigenstates of a finite chain at the factorization point,
-and the absolute ground state of an exact-diagonalization Hamiltonian from
-its own eigensolver call (the package solves within one parity sector).
+the absolute ground state of an exact-diagonalization Hamiltonian from
+its own eigensolver call (the package solves within one parity sector), and
+the dense Hamiltonian as a sum of Kronecker products.
 """
 
 import numpy as np
@@ -76,3 +77,25 @@ def ground_state(ham, degeneracy_tol=1e-9):
     if residual > 1e-8:
         raise ConvergenceError(f"eigenpair residual {residual:.3e}")
     return energy, state
+
+
+_PAULI = {"X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]),
+          "Z": np.diag([1, -1])}
+
+
+def kron_hamiltonian(length, lam, gamma):
+    """Dense H = -lam sum[(1+gamma)/2 XX + (1-gamma)/2 YY] + sum Z with
+    periodic bonds, term by term as Kronecker products (site 0 leftmost)."""
+
+    def term(ops):
+        m = np.eye(1)
+        for site in range(length):
+            m = np.kron(m, _PAULI[ops[site]] if site in ops else np.eye(2))
+        return m
+
+    h = sum(term({i: "Z"}) for i in range(length))
+    for i in range(length):
+        j = (i + 1) % length
+        h = h - lam * (1 + gamma) / 2 * term({i: "X", j: "X"})
+        h = h - lam * (1 - gamma) / 2 * term({i: "Y", j: "Y"})
+    return h

@@ -182,7 +182,10 @@ class TestVerify:
         assert "worst rdm3 deviation  0.000e+00 at m=(1, 1)" in out
         assert "verify: PASS" in out
 
-    def test_one_correlators_and_one_det_call(self, monkeypatch, capsys):
+    def test_one_correlators_and_one_det_call_per_size_group(self, monkeypatch, capsys):
+        # one `det` per group of Wick-matrix sizes in the cached L = 11 table
+        geoms = tuple((a, b) for a in range(1, 11) for b in range(1, 11 - a))
+        groups = len(xychain._wick_table(geoms)[0])
         calls = {"det": 0, "correlators": 0}
 
         def counting(name, fn):
@@ -196,7 +199,7 @@ class TestVerify:
                             counting("correlators", xychain.correlators))
         assert cli.main(["verify", "--L", "11", "--lambda", "0.7", "--gamma", "0.5"]) == 0
         assert "verify: PASS" in capsys.readouterr().out
-        assert calls == {"det": 1, "correlators": 1}
+        assert calls == {"det": groups, "correlators": 1}
 
 
 class TestFidelityCmd:
@@ -232,6 +235,26 @@ class TestConfigRoundTrip:
                                    "--alpha", "1", "--infinite"])
         assert c1 == cli._canonical_config(args2)
         assert json.loads(c1)["alpha"] == 1
+
+    def test_shared_parser_keeps_no_state_between_calls(self, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        setup = cli._setup
+
+        def record(args, *grid):
+            seen.append(vars(args).copy())
+            return setup(args, *grid)
+
+        monkeypatch.setattr(cli, "_setup", record)
+        sweep = ["sweep", "--alpha", "1", "--beta", "1", "--gamma", "0.5", "--infinite",
+                 "--lambda-min", "0.5", "--lambda-max", "0.5"]
+        verify = ["verify", "--L", "5", "--lambda", "0.7", "--gamma", "0.5"]
+        for argv in (sweep + ["--no-sdp"], sweep, verify + ["--tolerance", "1e-3"], verify):
+            assert cli.main(argv) == 0
+        assert [args["no_sdp"] for args in seen[:2]] == [True, False]
+        assert [args["tolerance"] for args in seen[2:]] == [1e-3, 1e-8]
+        assert all("tolerance" not in args for args in seen[:2])
+        assert all("no_sdp" not in args for args in seen[2:])
 
 
 class TestFit:

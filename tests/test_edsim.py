@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from oracles import factorized_pair, ground_state, lowest_levels
+from oracles import factorized_pair, ground_state, kron_hamiltonian, lowest_levels
 from xymqc import edsim
 from xymqc.linalg import partial_trace
 from xymqc.xychain import ModelParams, SpinGeometry, factorization_lambda, rdm3
@@ -29,6 +31,38 @@ def test_hamiltonian_is_real_symmetric():
     h = edsim.build_hamiltonian(7, params).toarray()
     assert np.max(np.abs(h - h.T)) == 0.0
     assert np.isrealobj(h)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_hamiltonian_matches_kronecker_sum(length):
+    for lam in (0.0, 0.9, 2.0):
+        for gamma in (0.0, 0.4, 1.0):
+            ham = edsim.build_hamiltonian(length, ModelParams(lam, gamma, length))
+            expect = kron_hamiltonian(length, lam, gamma)
+            assert np.max(np.abs(expect.imag)) == 0.0
+            assert np.max(np.abs(ham.toarray() - expect.real)) <= 1e-15
+            # every row stores its diagonal and one entry per bond, none twice
+            assert np.all(np.diff(ham.indptr) == length + 1)
+            cols = np.sort(ham.indices.reshape(-1, length + 1), axis=1)
+            assert np.all(np.diff(cols, axis=1) > 0)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_parity_diagonal_matches_kronecker_product(length):
+    expect = np.diag(functools.reduce(np.kron, [np.diag([1.0, -1.0])] * length))
+    assert np.array_equal(edsim.spin_parity_diagonal(length), expect)
+
+
+def test_reference_state_and_its_reduced_states_are_real():
+    params = ModelParams(1.3, 0.4, 9)
+    _, state = edsim.reference_state(edsim.build_hamiltonian(9, params))
+    assert state.dtype == float
+    lists = [[0, 2, 5], [3, 1, 8], [4, 6, 7]]
+    real = edsim.reduced_states(state, lists, 9)
+    assert real.dtype == float
+    cplx = edsim.reduced_states(state.astype(complex), lists, 9)
+    assert cplx.dtype == complex
+    assert np.max(np.abs(real - cplx)) <= 1e-15
 
 
 def test_commutes_with_parity():

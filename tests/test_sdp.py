@@ -318,7 +318,8 @@ class TestWarmStart:
         for rho, center in cuts:
             prog = sdp.KappaProgram(rho, DIMS3, center)
             warm = sdp._solve_program(prog)
-            prog.start = (prog.pt_norm + 1.0) * prog.unit
+            pt_norm = sdp._certificate(sdp._cut_pt(rho, DIMS3, center))[0]
+            prog.start = (pt_norm + 1.0) * prog.unit
             cold = sdp._solve_program(prog)
             assert warm.status == cold.status == "converged"
             assert abs(warm.e_kappa - cold.e_kappa) <= 1e-8

@@ -339,7 +339,7 @@ class TestWickDet:
         m = np.array([[g[j - i + 10] for j in range(10)] for i in range(10)])
         expect = cofactor_det(m.tolist())
         index = _wick_index(range(10), range(10), 10, 10)
-        got = _wick_dets(g, index[None])[0]
+        got = _wick_dets(g, [index[None]])[0]
         assert abs(got - expect) / abs(expect) < 1e-9
 
     def test_site_lists_index_lags(self):
@@ -348,7 +348,7 @@ class TestWickDet:
         m = np.array([[gv[b - a + 5] for b in b_sites] for a in a_sites])
         index = _wick_index(a_sites, b_sites, 3, 5)
         assert np.array_equal(gv[index], m)
-        assert _wick_dets(gv, index[None])[0] == float(np.linalg.det(m))
+        assert _wick_dets(gv, [index[None]])[0] == float(np.linalg.det(m))
 
     def test_identity_padding_keeps_det(self):
         # a 3x3 matrix padded to 6x6 and stacked with a full 6x6 one
@@ -360,7 +360,7 @@ class TestWickDet:
         expect = np.eye(6)
         expect[:3, :3] = small
         assert np.array_equal(np.concatenate([gv, [0.0, 1.0]])[padded], expect)
-        dets = _wick_dets(gv, np.array([padded, _wick_index(range(6), range(6), 6, 5)]))
+        dets = _wick_dets(gv, [np.array([padded, _wick_index(range(6), range(6), 6, 5)])])
         for got, m in zip(dets, (small, full)):
             assert abs(got - np.linalg.det(m)) <= 1e-12 * abs(np.linalg.det(m))
 
@@ -499,6 +499,44 @@ class TestRdm3Many:
     def test_validates_every_geometry(self):
         with pytest.raises(ValueError):
             rdm3_many([SpinGeometry(1, 1), SpinGeometry(5, 5)], ModelParams(0.7, 0.5, 9))
+
+
+def verify_table(length):
+    """(Wick site lists, cached table) of the `verify` stack at one chain length."""
+    geoms = tuple((g.alpha, g.beta) for g in verify_geometries(length))
+    lists = [xychain._wick_lists(string, (-a, 0, b))
+             for a, b in geoms for string in xychain._STRINGS]
+    return lists, xychain._wick_table(geoms)
+
+
+class TestWickGroups:
+    @pytest.mark.parametrize("length", [11, 13])
+    def test_match_one_padded_call(self, length):
+        lists, (stacks, order, _, rmax) = verify_table(length)
+        size = max(len(a) for a, _, _ in lists)
+        padded = np.array([_wick_index(a, b, size, rmax) for a, b, _ in lists])
+        for lam, gamma in ((0.7, 0.5), (1.3, 0.2), (1.0, 1.0)):
+            gv = correlators(ModelParams(lam, gamma, length), rmax)
+            expect = _wick_dets(gv, [padded])
+            assert np.max(np.abs(_wick_dets(gv, stacks)[order] - expect)) <= 1e-15
+
+    @pytest.mark.parametrize("length", [11, 13])
+    def test_padded_work_near_own_work(self, length):
+        # sum of size^3 over the LU factorizations, as padded and as needed
+        lists, (stacks, _, _, _) = verify_table(length)
+        padded = sum(len(index) * index.shape[-1] ** 3 for index in stacks)
+        own = sum(len(a) ** 3 for a, _, _ in lists)
+        assert padded <= 1.5 * own
+        assert sum(len(index) for index in stacks) == len(lists)
+
+    def test_groups_close_past_19_matrices(self):
+        # sizes run from the largest down; every group but the last closes
+        # once it holds more than 19 matrices, so one geometry is one group
+        _, (stacks, _, _, _) = verify_table(13)
+        sizes = [index.shape[-1] for index in stacks]
+        assert sizes == sorted(sizes, reverse=True)
+        assert all(len(index) > 19 for index in stacks[:-1])
+        assert len(xychain._wick_table(((4, 3),))[0]) == 1
 
 
 def pair_state(distance, params):
