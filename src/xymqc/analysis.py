@@ -49,6 +49,7 @@ class FitResult:
     slope: float
     intercept: float
     rms_residual: float
+    # the x range of the fitted points: ln|lambda - LAMBDA_C|, ln L, or L
     window: tuple
     n_points: int
     r_squared: float = float("nan")
@@ -187,7 +188,7 @@ def pseudo_critical(table, column):
     return CriticalScan(length=table.length, lambda_m=lam_m, min_derivative=min_val)
 
 
-def _fit(x, y, window):
+def _fit(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 5:
@@ -217,7 +218,7 @@ def fit_log_divergence(table, column, window=(3e-4, 3e-2), side="below"):
         mask &= dist > 0
     if np.count_nonzero(mask) < 5:
         raise WindowError("fit window selects fewer than 5 points")
-    return _fit(np.log(np.abs(dist[mask])), table.columns[name][mask], window)
+    return _fit(np.log(np.abs(dist[mask])), table.columns[name][mask])
 
 
 def fit_finite_size(scans):
@@ -226,14 +227,14 @@ def fit_finite_size(scans):
         raise WindowError(f"need at least 5 chain lengths, got {len(scans)}")
     x = np.log([s.length for s in scans])
     y = [s.min_derivative for s in scans]
-    return _fit(x, y, (float(np.min(x)), float(np.max(x))))
+    return _fit(x, y)
 
 
 def fit_drift_exponent(scans):
     """Fit ln|lambda_m(L) - LAMBDA_C| vs ln L; slope is -theta."""
     x = np.log([s.length for s in scans])
     y = np.log([abs(s.lambda_m - LAMBDA_C) for s in scans])
-    return _fit(x, y, (float(np.min(x)), float(np.max(x))))
+    return _fit(x, y)
 
 
 def scan_pseudo_critical(gamma, alpha, beta, length, column,
@@ -280,6 +281,7 @@ def scaling_collapse(tables, column, scans=None, x_window=None):
     """
     curves = {}
     for length, table in tables.items():
+        table.require_converged()
         name = "d_" + column
         if name not in table.columns:
             derivative(table, column)
@@ -423,8 +425,7 @@ def factorization_scaling(gamma, alpha, beta, column, lengths):
         c1.append(measures.evaluate(rho.matrix).concurrence_01)
     lengths = np.asarray(lengths, dtype=int)
     vals = np.asarray(vals)
-    fit = _fit(lengths, np.log(np.clip(vals, 1e-300, None)),
-               (int(lengths.min()), int(lengths.max())))
+    fit = _fit(lengths, np.log(np.clip(vals, 1e-300, None)))
     return FactorizationScaling(
         gamma=gamma, alpha=alpha, beta=beta, lengths=lengths, values=vals,
         concurrence_nn=np.asarray(c1), fit=fit,
@@ -513,8 +514,7 @@ def fidelity(rho_a, rho_b):
     quantity but much better conditioned when either state is nearly
     singular (no square root of near-zero products is needed).
     """
-    a = np.asarray(rho_a, dtype=complex)
-    b = np.asarray(rho_b, dtype=complex)
+    a, b = np.asarray(rho_a), np.asarray(rho_b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
     val = trace_norm(matrix_sqrt_psd(a) @ matrix_sqrt_psd(b))

@@ -366,7 +366,7 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, analysis.FactorizationNotFound, analysis.WindowError,
-            analysis.NonConvergedPoint) as exc:
+            analysis.NonConvergedPoint, edsim.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except IOError as exc:

@@ -87,7 +87,7 @@ def _lowest_eigenpair(matrix):
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
     try:
         w, v = eigsh(matrix, k=1, which="SA", v0=v0)
-    except Exception as exc:  # pragma: no cover - diagnostic path
+    except Exception as exc:
         raise ConvergenceError(f"Lanczos failed: {exc}") from exc
     return float(w[0]), v[:, 0]
 

@@ -42,10 +42,11 @@ def validate_density(m):
 
 
 class DensityMatrix:
-    """A Hermitian, unit-trace, PSD matrix over a list of subsystem dims."""
+    """A Hermitian, unit-trace, PSD matrix over a list of subsystem dims, in
+    the dtype it is built with (real for a real state)."""
 
     def __init__(self, matrix, dims, validate=True):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.asarray(matrix)
         dims = tuple(int(d) for d in dims)
         if matrix.shape != (math.prod(dims), math.prod(dims)):
             raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims}")
@@ -137,7 +138,7 @@ def matrix_sqrt_psd(m):
 
     Eigenvalues in (-1e-9, 0) are clamped to zero; anything lower is an error.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     dev = np.max(np.abs(m - m.conj().T))
     if dev > HERMITICITY_TOL:
         raise NotHermitianError(f"deviation from Hermiticity {dev:.3e}")

@@ -28,8 +28,8 @@ indices, so the tables follow the kernels' conventions by construction:
 - the three pair concurrences (one `concurrence` call) give the pair
   entanglements of formation (tau_ub, tau_lb).
 
-A state whose imaginary part is exactly zero, as every `rdm3` state is, is
-evaluated in real arithmetic.  One more table, `_MIRROR` (64,), gathers
+A state is evaluated in its own dtype: a real one, as every `rdm3` state
+is, in real arithmetic.  One more table, `_MIRROR` (64,), gathers
 rho's image under swapping qubits 0 and 2; a state equal to it has equal
 E_kappa on the cuts 0 | 12 and 2 | 01, so the solver runs on two cuts.
 
@@ -193,8 +193,6 @@ def evaluate(rho, dims=DIMS3, solve_ppt=None):
     if dims != DIMS3:
         raise ValueError(f"evaluate takes three qubits, dims {DIMS3}; got {dims}")
     rho = np.asarray(rho)
-    if np.iscomplexobj(rho) and not rho.imag.any():
-        rho = rho.real
     flat = rho.reshape(64)
     pt_norms = _hermitian_trace_norm(flat[_CUT_PT])
     re_norms = trace_norm(flat[_CUT_RE])

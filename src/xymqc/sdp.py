@@ -7,8 +7,8 @@ E_kappa is log2 of the optimum of  minimize Tr S  over Hermitian S with
 where T_A transposes the first (2-dimensional) factor.  Only three-qubit
 states (dims (2, 2, 2)) are taken, as in `measures.evaluate`; the cut
 center | rest puts qubit `center` first.  Each cut's rho^{T_A} is a gather
-of the 64 entries of rho through `measures._CUT_PT[center]`, in real
-arithmetic when rho is real, and the partial transpose |rho^{T_A}|^{T_A}
+of the 64 entries of rho through `measures._CUT_PT[center]`, in rho's own
+dtype, and the partial transpose |rho^{T_A}|^{T_A}
 is one more gather through the fixed table `_PT_FRONT`.  One `eigh` of
 rho^{T_A} and one `eigvalsh` of |rho^{T_A}|^{T_A} give the trace norm and
 the binegativity certificate |rho^{T_A}|^{T_A} >= 0.
@@ -75,8 +75,6 @@ _CROSS = _PARITY[:, None] != _PARITY[None, :]
 # the partial transpose of the first qubit of an 8x8 matrix, as indices into
 # its 64 entries: the cut-0 table, whose qubit 0 is already in front
 _PT_FRONT = _CUT_PT[0]
-# largest imaginary entry of rho that still counts as real data
-REAL_TOL = 1e-14
 
 
 @dataclass
@@ -103,35 +101,31 @@ class VerificationReport:
     optimal: bool
 
 
-@functools.cache
-def hermitian_basis(dim, real_only=False):
-    """Orthonormal (Frobenius) basis of Hermitian dim x dim matrices.
+def hermitian_basis(real_only=False):
+    """Orthonormal (Frobenius) basis of Hermitian 8x8 matrices.
 
     With real_only, the basis spans real symmetric matrices, which is
     sufficient whenever the problem data are real (conjugation symmetry).
-    The returned stack is cached, shared between calls and read-only.
     """
     dtype = float if real_only else complex
     basis = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=dtype)
+    for i in range(8):
+        e = np.zeros((8, 8), dtype=dtype)
         e[i, i] = 1.0
         basis.append(e)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=dtype)
+    for i in range(8):
+        for j in range(i + 1, 8):
+            e = np.zeros((8, 8), dtype=dtype)
             e[i, j] = inv_sqrt2
             e[j, i] = inv_sqrt2
             basis.append(e)
             if not real_only:
-                e = np.zeros((dim, dim), dtype=complex)
+                e = np.zeros((8, 8), dtype=complex)
                 e[i, j] = -1.0j * inv_sqrt2
                 e[j, i] = 1.0j * inv_sqrt2
                 basis.append(e)
-    basis = np.array(basis)
-    basis.flags.writeable = False
-    return basis
+    return np.array(basis)
 
 
 def _dag(m):
@@ -145,14 +139,10 @@ def _pt_front(m):
 
 
 def _cut_pt(rho, dims, center):
-    """rho^{T_A} across the cut center | rest, center first; real when the
-    imaginary part of rho is below REAL_TOL."""
+    """rho^{T_A} across the cut center | rest, center first, in rho's dtype."""
     if tuple(dims) != DIMS3:
         raise ValueError(f"E_kappa takes three qubits, dims {DIMS3}; got {tuple(dims)}")
-    flat = np.asarray(rho).reshape(64)
-    if np.iscomplexobj(flat) and np.max(np.abs(flat.imag)) < REAL_TOL:
-        flat = flat.real
-    return flat[_CUT_PT[center]]
+    return np.asarray(rho).reshape(64)[_CUT_PT[center]]
 
 
 def _certificate(rho_pt):
@@ -177,7 +167,7 @@ def _block_basis(real_data, parity):
     (k = 6, d = 4); otherwise all of them, on one sector (k = 3, d = 8).
     The returned stack is cached, shared between calls and read-only.
     """
-    basis = hermitian_basis(8, real_data)
+    basis = hermitian_basis(real_data)
     if parity:
         basis = basis[~np.any(basis[:, _CROSS], axis=1)]
         sectors = _SECTORS

@@ -371,7 +371,7 @@ def rdm3_many(geoms, params):
     """
     m = _rdm3_stack(geoms, params)
     validate_density(m)
-    return m.astype(complex)
+    return m
 
 
 def rdm3(geom, params):

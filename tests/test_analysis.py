@@ -433,6 +433,15 @@ class TestNonConvergedPoint:
         with pytest.raises(NonConvergedPoint):
             pseudo_critical(tbl, "y")
 
+    def test_scaling_collapse_raises_with_a_given_scan(self):
+        # a supplied scan spares pseudo_critical, not the convergence check
+        tbl = self.table_with_failed_row(lambda lam: (lam - 0.985) ** 2)
+        tbl.length = 101
+        scan = CriticalScan(length=101, lambda_m=0.985, min_derivative=0.0)
+        with pytest.raises(NonConvergedPoint) as err:
+            scaling_collapse({101: tbl}, "y", scans={101: scan})
+        assert err.value.lam == tbl.lambdas[7]
+
     def test_factorization_scaling_raises(self, two_iterations, monkeypatch):
         # the certificate holds at lambda_f on every finite chain, so it is
         # switched off here to make the SDP run there

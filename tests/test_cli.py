@@ -182,6 +182,18 @@ class TestVerify:
         assert "worst rdm3 deviation  0.000e+00 at m=(1, 1)" in out
         assert "verify: PASS" in out
 
+    def test_lanczos_failure_is_a_compute_error(self, monkeypatch, capsys):
+        from scipy.sparse import linalg as sparse_linalg
+
+        def no_convergence(*args, **kwargs):
+            raise sparse_linalg.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        # the L = 11 parity sector (1024 states) is past the dense cutoff
+        monkeypatch.setattr(sparse_linalg, "eigsh", no_convergence)
+        argv = ["verify", "--L", "11", "--lambda", "0.7", "--gamma", "0.5"]
+        assert cli.main(argv) == cli.EXIT_COMPUTE
+        assert "error: Lanczos failed" in capsys.readouterr().err
+
     def test_one_correlators_and_one_det_call_per_size_group(self, monkeypatch, capsys):
         # one `det` per group of Wick-matrix sizes in the cached L = 11 table
         geoms = tuple((a, b) for a in range(1, 11) for b in range(1, 11 - a))

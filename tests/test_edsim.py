@@ -60,6 +60,7 @@ def test_reference_state_and_its_reduced_states_are_real():
     lists = [[0, 2, 5], [3, 1, 8], [4, 6, 7]]
     real = edsim.reduced_states(state, lists, 9)
     assert real.dtype == float
+    assert edsim.reduced_state(state, lists[0], 9).matrix.dtype == float
     cplx = edsim.reduced_states(state.astype(complex), lists, 9)
     assert cplx.dtype == complex
     assert np.max(np.abs(real - cplx)) <= 1e-15

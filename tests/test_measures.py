@@ -385,8 +385,8 @@ class TestSinglePassKernel:
         assert worst <= 1e-12
 
     def test_real_and_complex_inputs_agree(self):
-        # a zero imaginary part takes the real path; local Z phases make the
-        # state complex and leave every measure invariant
+        # a zero imaginary part takes the complex path; local Z phases make
+        # the state complex and leave every measure invariant
         rng = np.random.default_rng(5)
         worst = 0.0
         for rho in kernel_states():

@@ -225,6 +225,16 @@ class TestParityReduction:
         prog = sdp.KappaProgram(rho, DIMS3, 1)
         assert prog.ops.shape == (20, 6, 4, 4)
 
+    def test_real_and_complex_forms_agree_on_edge_cuts(self, uncertified_edge_cuts):
+        # a complex input with zero imaginary part keeps the complex path
+        for rho, center in uncertified_edge_cuts:
+            cplx = rho.astype(complex)
+            assert sdp.KappaProgram(cplx, DIMS3, center).flat.dtype == complex
+            real, real_status = sdp.e_ppt(rho, DIMS3, center)
+            full, full_status = sdp.e_ppt(cplx, DIMS3, center)
+            assert real_status == full_status == "converged"
+            assert abs(real - full) <= 1e-10
+
     def test_complex_state_takes_full_path(self):
         rho = random_mixed(np.random.default_rng(43))
         prog = sdp.KappaProgram(rho, DIMS3, 0)
@@ -289,7 +299,7 @@ class TestGatheredCertificate:
 
     def test_real_state_takes_real_arithmetic(self):
         rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
-        assert np.iscomplexobj(rho)
+        assert rho.dtype == np.float64
         prog = sdp.KappaProgram(rho, DIMS3, 1)
         assert prog.offset.dtype == prog.flat.dtype == float
         assert prog.flat_conj is prog.flat

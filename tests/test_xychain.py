@@ -447,6 +447,13 @@ class TestRdm3:
         with pytest.raises(ValueError):
             rdm3(SpinGeometry(5, 4), ModelParams(1.0, 0.5, 9))
 
+    @pytest.mark.parametrize("length", [41, None])
+    def test_states_are_real(self, length):
+        params = ModelParams(1.16, 0.5, length)
+        assert rdm3(SpinGeometry(4, 4), params).matrix.dtype == np.float64
+        stack = rdm3_many([SpinGeometry(1, 1), SpinGeometry(4, 4)], params)
+        assert stack.dtype == np.float64
+
     def test_verify_geometries_stay_cached(self):
         # one table per geometry tuple: `verify` at L = 11 and 13 builds two,
         # and the single geometries that rdm3 keys as 1-tuples evict neither
