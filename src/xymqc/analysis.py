@@ -16,11 +16,16 @@ from .linalg import matrix_sqrt_psd, trace_norm
 from .xychain import ModelParams, SpinGeometry, factorization_lambda, rdm3
 
 LAMBDA_C = 1.0
+# a factorization dip counts as zero below this
 ZERO_THRESHOLD = 1e-9
 # a factorization dip must revive to this fraction of the window's maximum
 REVIVAL_FRACTION = 1e-3
 # bins of the inter-curve spread in `scaling_collapse`
 COLLAPSE_BINS = 20
+# widths at which the golden-section search of a factorization dip and the
+# bisection of a bound-entanglement window edge stop
+DIP_TOL = 1e-9
+EDGE_TOL = 5e-5
 MEASURE_COLUMNS = ("n3", "t3", "tau_ub", "tau_lb")
 SDP_COLUMNS = frozenset({"tau_ub"})
 
@@ -168,7 +173,7 @@ def derivative(table, column):
 
 
 def pseudo_critical(table, column):
-    """Locate the minimum of d_<column> by parabolic refinement."""
+    """Locate the minimum of d_<column> by parabolic interpolation."""
     table.require_converged()
     name = "d_" + column
     if name not in table.columns:
@@ -321,13 +326,13 @@ class FactorizationDetection:
     window: tuple
 
 
-def _golden_minimize(fn, lo, hi, tol=1e-9):
+def _golden_minimize(fn, lo, hi):
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    while abs(b - a) > tol:
+    while abs(b - a) > DIP_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -347,7 +352,7 @@ def detect_factorization(evaluator, window, grid_step=2e-3):
 
     `evaluator` maps lambda -> measure value.  The detector finds the grid
     minimum, requires the measure to revive on both sides of it (one-sided
-    deaths are rejected), then refines the dip by golden-section search and
+    deaths are rejected), then narrows the dip by golden-section search and
     checks it actually reaches zero.
     """
     lo, hi = window
@@ -441,10 +446,10 @@ class BoundWindow:
     max_neg_outer: float         # max over the window of N(i|jk), should be ~0
 
 
-def _bisect_edge(flag_fn, lam_in, lam_out, tol=5e-5):
-    """Refine the boundary between a flagged and an unflagged point."""
+def _bisect_edge(flag_fn, lam_in, lam_out):
+    """Bisect the boundary between a flagged and an unflagged point."""
     a, b = lam_in, lam_out
-    while abs(b - a) > tol:
+    while abs(b - a) > EDGE_TOL:
         mid = 0.5 * (a + b)
         if flag_fn(mid):
             a = mid
@@ -454,20 +459,22 @@ def _bisect_edge(flag_fn, lam_in, lam_out, tol=5e-5):
 
 
 def bound_entanglement_scan(gamma, alpha, beta, lambdas, length=None,
-                            tau_threshold=1e-12, refine=True, workers=1):
+                            tau_threshold=1e-12, workers=1):
     """Windows where the outer cut is PPT yet the state stays correlated.
 
-    A grid point is flagged when N(rho_{i|jk}) < ZERO_THRESHOLD while there
-    is still entanglement evidence: tau_ub above threshold or one of the
-    other two cuts NPT.  All three partition negativities are recorded.
+    A grid point is flagged when N(rho_{i|jk}) < measures.NEG_ZERO_TOL while
+    there is still entanglement evidence: tau_ub above threshold or one of
+    the other two cuts NPT.  All three partition negativities are recorded.
+    Each window edge next to an unflagged grid point is bisected to within
+    EDGE_TOL.
     """
 
     def flagged(row):
         # row: one measure_point dict, or the columns of a whole table
         evidence = ((row["tau_ub"] > tau_threshold)
-                    | (row["neg_j"] > ZERO_THRESHOLD)
-                    | (row["neg_k"] > ZERO_THRESHOLD))
-        return (row["neg_i"] < ZERO_THRESHOLD) & evidence
+                    | (row["neg_j"] > measures.NEG_ZERO_TOL)
+                    | (row["neg_k"] > measures.NEG_ZERO_TOL))
+        return (row["neg_i"] < measures.NEG_ZERO_TOL) & evidence
 
     def flag_at(lam):
         return flagged(_converged_point(lam, gamma, alpha, beta, length, with_sdp=True))
@@ -490,9 +497,9 @@ def bound_entanglement_scan(gamma, alpha, beta, lambdas, length=None,
         while j + 1 < n and flags[j + 1]:
             j += 1
         lo, hi = float(lambdas[i]), float(lambdas[j])
-        if refine and i > 0:
+        if i > 0:
             lo = _bisect_edge(flag_at, lambdas[i], lambdas[i - 1])
-        if refine and j + 1 < n:
+        if j + 1 < n:
             hi = _bisect_edge(flag_at, lambdas[j], lambdas[j + 1])
         inside = slice(i, j + 1)
         windows.append(

@@ -95,6 +95,17 @@ def _setup(args, *grid):
             value = getattr(args, name, 1)
             if not 0 < value < np.inf:
                 raise ValueError(f"--{name} must be positive and finite, got {value}")
+        for name in ("tolerance", "tau_threshold"):
+            value = getattr(args, name, 0.0)
+            if not 0 <= value < np.inf:
+                raise ValueError(
+                    f"--{name.replace('_', '-')} must be finite and >= 0, got {value}"
+                )
+        if hasattr(args, "window_min") and not 0 < args.window_min < args.window_max:
+            raise ValueError(
+                "the fit window needs 0 < --window-min < --window-max, got "
+                f"{args.window_min}, {args.window_max}"
+            )
         if getattr(args, "infinite", False) == (args.length is not None):
             raise ValueError("give exactly one of --L <odd int> and --infinite")
         lambdas = analysis.grid(*grid) if grid else None

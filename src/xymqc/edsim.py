@@ -31,11 +31,6 @@ def _popcount(length):
     return count
 
 
-def _length(ham):
-    """Chain length of a 2^L x 2^L Hamiltonian."""
-    return ham.shape[0].bit_length() - 1
-
-
 def build_hamiltonian(length, params):
     """H = -lambda sum[(1+g)/2 XX + (1-g)/2 YY] + sum Z, site L+1 = 1, as CSR.
 
@@ -92,12 +87,12 @@ def _lowest_eigenpair(matrix):
     return float(w[0]), v[:, 0]
 
 
-def ground_state_in_parity(ham, parity):
-    """(energy, state) of the lowest eigenstate with prod sigma_z = parity,
-    in the eigenvector's dtype (real for the real-symmetric H)."""
-    if parity not in (-1, 1):
-        raise ValueError(f"parity must be +-1, got {parity}")
-    keep = np.nonzero(spin_parity_diagonal(_length(ham)) == parity)[0]
+def reference_state(ham):
+    """(energy, state) of the lowest eigenstate of the sector the analytic
+    correlators describe, prod sigma_z = (-1)^L for the 2^L x 2^L `ham`, in
+    the eigenvector's dtype (real for the real-symmetric H)."""
+    length = ham.shape[0].bit_length() - 1
+    keep = np.nonzero(spin_parity_diagonal(length) == (-1) ** length)[0]
     energy, vec = _lowest_eigenpair(ham[keep][:, keep])
     state = np.zeros(ham.shape[0], dtype=vec.dtype)
     state[keep] = vec
@@ -105,20 +100,13 @@ def ground_state_in_parity(ham, parity):
     return energy, state
 
 
-def reference_state(ham):
-    """Lowest eigenstate of the sector the analytic correlators describe."""
-    return ground_state_in_parity(ham, parity=(-1) ** _length(ham))
-
-
-def reduced_states(state, site_lists, length=None):
+def reduced_states(state, site_lists, length):
     """Partial traces of |state><state|, one per list of kept sites, as a
     validated (n, 2^m, 2^m) stack; every list holds m sites, kept in the
     listed order (the first listed site is the most significant).  A real
     state gives a real stack, a complex one a complex stack.
     """
     state = np.asarray(state)
-    if length is None:
-        length = int(round(np.log2(state.size)))
     m = len(site_lists[0])
     for sites in site_lists:
         if len(set(sites)) != len(sites):
@@ -139,7 +127,7 @@ def reduced_states(state, site_lists, length=None):
     return rho
 
 
-def reduced_state(state, sites, length=None):
+def reduced_state(state, sites, length):
     """Partial trace of |state><state| keeping the listed sites, in order."""
     rho = reduced_states(state, [sites], length)[0]
     return DensityMatrix(rho, (2,) * len(sites), validate=False)

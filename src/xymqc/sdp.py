@@ -84,58 +84,15 @@ class SdpSolution:
     s_matrix: np.ndarray = field(repr=False)
     duality_gap: float
     iterations: int
-    # converged | max-iterations | stalled | infeasible-numerics |
-    # lstsq-fallback (converged, but a Schur system was not positive definite
-    # and was solved by least squares)
+    # converged | max-iterations | stalled | infeasible-numerics (a Schur
+    # complement that is not finite or not positive definite)
     status: str
-    dual_blocks: list = field(repr=False, default=None)
-
-
-@dataclass
-class VerificationReport:
-    min_eigs: tuple        # (S, S^T - rho^T, S^T + rho^T)
-    dual_min_eigs: tuple
-    dual_residual: float   # || X1 + PT(X2) + PT(X3) - I ||
-    duality_gap: float
-    feasible: bool
-    optimal: bool
-
-
-def hermitian_basis(real_only=False):
-    """Orthonormal (Frobenius) basis of Hermitian 8x8 matrices.
-
-    With real_only, the basis spans real symmetric matrices, which is
-    sufficient whenever the problem data are real (conjugation symmetry).
-    """
-    dtype = float if real_only else complex
-    basis = []
-    for i in range(8):
-        e = np.zeros((8, 8), dtype=dtype)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(8):
-        for j in range(i + 1, 8):
-            e = np.zeros((8, 8), dtype=dtype)
-            e[i, j] = inv_sqrt2
-            e[j, i] = inv_sqrt2
-            basis.append(e)
-            if not real_only:
-                e = np.zeros((8, 8), dtype=complex)
-                e[i, j] = -1.0j * inv_sqrt2
-                e[j, i] = 1.0j * inv_sqrt2
-                basis.append(e)
-    return np.array(basis)
+    dual_blocks: list = field(repr=False)
 
 
 def _dag(m):
     mt = np.swapaxes(m, -1, -2)
     return mt.conj() if np.iscomplexobj(mt) else mt
-
-
-def _pt_front(m):
-    """Partial transpose of the first qubit of an 8x8 matrix, by one gather."""
-    return m.reshape(64)[_PT_FRONT]
 
 
 def _cut_pt(rho, dims, center):
@@ -148,7 +105,7 @@ def _cut_pt(rho, dims, center):
 def _certificate(rho_pt):
     """(||rho^T||_1, |rho^T|^T, the minimum eigenvalue of |rho^T|^T)."""
     w, v = np.linalg.eigh(rho_pt)
-    abs_pt_pt = _pt_front((v * np.abs(w)) @ _dag(v))
+    abs_pt_pt = ((v * np.abs(w)) @ _dag(v)).reshape(64)[_PT_FRONT]
     return float(np.abs(w).sum()), abs_pt_pt, float(np.linalg.eigvalsh(abs_pt_pt)[0])
 
 
@@ -162,17 +119,27 @@ def _block_basis(real_data, parity):
     """(ops, sectors): the images of the variable basis in the block stack.
 
     ops[a] is the (k, d, d) stack [F_a, F_a^{T_A}, F_a^{T_A}], each block cut
-    into the sectors' diagonal blocks.  With parity, the F_a are the
-    elements of `hermitian_basis` supported on the two parity sectors
-    (k = 6, d = 4); otherwise all of them, on one sector (k = 3, d = 8).
-    The returned stack is cached, shared between calls and read-only.
+    into the sectors' diagonal blocks.  The F_a are a Frobenius-orthonormal
+    basis of the real symmetric (real_data) or Hermitian 8x8 matrices: the
+    diagonal units, then for each i < j the symmetric element and, for
+    complex data, the antisymmetric one.  With parity only the pairs i, j
+    within one parity sector enter (k = 6, d = 4); otherwise all of them, on
+    one sector (k = 3, d = 8).  The returned stack is cached, shared between
+    calls and read-only.
     """
-    basis = hermitian_basis(real_data)
-    if parity:
-        basis = basis[~np.any(basis[:, _CROSS], axis=1)]
-        sectors = _SECTORS
-    else:
-        sectors = (np.arange(8),)
+    sectors = _SECTORS if parity else (np.arange(8),)
+    unit = 1.0 / np.sqrt(2.0)
+    # the (i, j) and (j, i) entries of each element
+    entries = [(i, i, 1.0, 1.0) for i in range(8)]
+    for i in range(8):
+        for j in range(i + 1, 8):
+            if not (parity and _CROSS[i, j]):
+                entries.append((i, j, unit, unit))
+                if not real_data:
+                    entries.append((i, j, -1.0j * unit, 1.0j * unit))
+    basis = np.zeros((len(entries), 8, 8), dtype=float if real_data else complex)
+    for a, (i, j, upper, lower) in enumerate(entries):
+        basis[a, i, j], basis[a, j, i] = upper, lower
     basis_pt = basis.reshape(len(basis), 64)[:, _PT_FRONT]
     ops = np.stack(
         [m[:, s[:, None], s] for m in (basis, basis_pt, basis_pt) for s in sectors],
@@ -234,7 +201,6 @@ def _solve_program(prog):
     x = np.broadcast_to(np.eye(d, dtype=prog.ops.dtype) / 3.0, (k, d, d)).copy()
 
     status = "max-iterations"
-    fallback = False
     iters = 0
     for iters in range(1, MAX_ITERS + 1):
         gap = _inner(x, z)
@@ -253,16 +219,15 @@ def _solve_program(prog):
             scaled = v / root
             z_inv = scaled[:k] @ _dag(scaled[:k])
             w = _nt_scaling((v[k:] * root[k:]) @ _dag(v[k:]), z)
-            schur = _SchurFactor(prog, w)
-            fallback |= schur.l_inv is None
+            l_inv = _schur_factor(prog, w)
 
             # affine direction fixes the centering weight
-            _, dz_aff, dx_aff = _newton_step(prog, x, z_inv, w, schur, 0.0)
+            _, dz_aff, dx_aff = _newton_step(prog, x, z_inv, w, l_inv, 0.0)
             a_p, a_d = _step_lengths(scaled, np.concatenate([dz_aff, dx_aff]))
             gap_aff = _inner(x + a_d * dx_aff, z + a_p * dz_aff)
             sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8), 1.0)
 
-            ds, dz, dx = _newton_step(prog, x, z_inv, w, schur, sigma * mu)
+            ds, dz, dx = _newton_step(prog, x, z_inv, w, l_inv, sigma * mu)
         except np.linalg.LinAlgError:
             status = "infeasible-numerics"
             break
@@ -276,8 +241,6 @@ def _solve_program(prog):
         x = x + alpha_d * dx
         x = 0.5 * (x + _dag(x))
 
-    if status == "converged" and fallback:
-        status = "lstsq-fallback"
     optimum = float(prog.unit @ s)
     return SdpSolution(
         optimum=optimum,
@@ -313,28 +276,18 @@ def _step_lengths(scaled, d):
     return float(steps[:k].min()), float(steps[k:].min())
 
 
-class _SchurFactor:
-    """M_ab = sum_k Re Tr(F_a^k W_k F_b^k W_k), from its Cholesky factor L.
+def _schur_factor(prog, w):
+    """The inverse Cholesky factor L^-1 of M_ab = sum_k Re Tr(F_a^k W_k F_b^k W_k).
 
-    An M that is not positive definite is solved by least squares instead;
-    `l_inv` (the inverse of L) is then None.
+    An M that is not finite or not positive definite raises LinAlgError,
+    which ends the solve as infeasible-numerics.
     """
-
-    def __init__(self, prog, w):
-        wbw = (w @ prog.ops @ w).reshape(len(prog.ops), -1)
-        m = np.real(prog.flat_conj @ wbw.T)
-        self.matrix = 0.5 * (m + m.T)
-        if not np.all(np.isfinite(self.matrix)):
-            raise np.linalg.LinAlgError("non-finite Schur complement")
-        try:
-            self.l_inv = np.linalg.inv(np.linalg.cholesky(self.matrix))
-        except np.linalg.LinAlgError:
-            self.l_inv = None
-
-    def solve(self, rhs):
-        if self.l_inv is None:
-            return np.linalg.lstsq(self.matrix, rhs, rcond=None)[0]
-        return self.l_inv.T @ (self.l_inv @ rhs)
+    wbw = (w @ prog.ops @ w).reshape(len(prog.ops), -1)
+    m = np.real(prog.flat_conj @ wbw.T)
+    m = 0.5 * (m + m.T)
+    if not np.all(np.isfinite(m)):
+        raise np.linalg.LinAlgError("non-finite Schur complement")
+    return np.linalg.inv(np.linalg.cholesky(m))
 
 
 def _inner(x, z):
@@ -342,51 +295,14 @@ def _inner(x, z):
     return float(np.real(np.vdot(z, x)))
 
 
-def _newton_step(prog, x, z_inv, w, schur, target):
+def _newton_step(prog, x, z_inv, w, l_inv, target):
     """NT direction for centering target sigma*mu (0 = affine direction)."""
     # residual R_k = target * Z_k^{-1} - X_k ; solve A*(W dZ W) = A*(R)
     resid = target * z_inv - x
-    ds = schur.solve(np.real(prog.flat_conj @ resid.reshape(-1)))
+    ds = l_inv.T @ (l_inv @ np.real(prog.flat_conj @ resid.reshape(-1)))
     dz = (ds @ prog.flat).reshape(resid.shape)
     dx = resid - w @ dz @ w
     return ds, dz, 0.5 * (dx + _dag(dx))
-
-
-def verify_solution(rho, dims, center, solution):
-    """Independent feasibility/optimality audit of a returned solution.
-
-    It works on the full matrices, not on the solver's reduced blocks.
-    """
-    rho_pt = _cut_pt(rho, dims, center)
-    s = solution.s_matrix
-    s_pt = _pt_front(s)
-    min_eigs = tuple(
-        float(np.linalg.eigvalsh(z)[0]) for z in (s, s_pt - rho_pt, s_pt + rho_pt)
-    )
-    if solution.dual_blocks is not None:
-        x1, x2, x3 = solution.dual_blocks
-        dual_min = tuple(float(np.linalg.eigvalsh(x)[0]) for x in (x1, x2, x3))
-        resid = x1 + _pt_front(x2 + x3) - np.eye(len(s))
-        dual_resid = float(np.linalg.norm(resid))
-        dual_objective = np.real(np.trace(rho_pt @ x2) - np.trace(rho_pt @ x3))
-        gap = float(np.real(np.trace(s)) - dual_objective)
-    else:
-        dual_min, dual_resid, gap = (), np.inf, np.inf
-    feasible = all(e >= -1e-8 for e in min_eigs)
-    optimal = (
-        feasible
-        and all(e >= -1e-8 for e in dual_min)
-        and dual_resid < 1e-7
-        and abs(gap) < 1e-6
-    )
-    return VerificationReport(
-        min_eigs=min_eigs,
-        dual_min_eigs=dual_min,
-        dual_residual=dual_resid,
-        duality_gap=gap,
-        feasible=feasible,
-        optimal=optimal,
-    )
 
 
 def _binegativity(rho, dims, center):

@@ -114,14 +114,6 @@ def _gauss_legendre():
     return x, w
 
 
-def _lags(r):
-    """Integer lags as an array, with the largest |r| among them."""
-    lags = np.asarray(r)
-    if lags.dtype.kind not in "iu":
-        raise TypeError(f"lags must be integers, got {lags.dtype}")
-    return lags, int(np.max(np.abs(lags), initial=0))
-
-
 def _nodes(t, weights, rmax):
     """The lambda-independent data of a rule with nodes t = pi - phi.
 
@@ -152,11 +144,9 @@ def _moments(nodes, lam, gamma):
     return cos_rows @ (alpha / omega), sin_rows @ (beta / omega)
 
 
-def _combine(lags, cos_moments, sin_moments):
-    """g(±r) = C_r ∓ S_r; a float for a scalar lag, an array otherwise."""
-    k = np.abs(lags)
-    g = cos_moments[k] - np.sign(lags) * sin_moments[k]
-    return float(g) if g.ndim == 0 else g
+def _lagged(cos_moments, sin_moments):
+    """g(-rmax), ..., g(rmax) from the moments for r = 0..rmax: g(±r) = C_r ∓ S_r."""
+    return np.concatenate([(cos_moments + sin_moments)[:0:-1], cos_moments - sin_moments])
 
 
 def _graded_rule(lam, gamma, rmax):
@@ -189,27 +179,26 @@ def _graded_rule(lam, gamma, rmax):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def g_infinite(r, params):
-    """Fermionic correlator g(r) in the thermodynamic limit.
+def g_infinite(params, rmax):
+    """Fermionic correlators g(-rmax), ..., g(rmax) in the thermodynamic
+    limit; g(r) sits at index r + rmax.
 
-    r is an int (returns a float) or an int array (returns an array).  The
-    integral is a graded 20-point Gauss-Legendre rule.  At lambda = 0 and at
-    gamma = 0 the closed forms are used: g(r) = delta_{r0} for lambda <= 1,
-    and g(r) = 2 sin(r phi0)/(pi r), g(0) = 2 phi0/pi - 1 with
+    The integral is a graded 20-point Gauss-Legendre rule.  At lambda = 0 and
+    at gamma = 0 the closed forms are used: g(r) = delta_{r0} for
+    lambda <= 1, and g(r) = 2 sin(r phi0)/(pi r), g(0) = 2 phi0/pi - 1 with
     phi0 = arccos(-1/lambda) for lambda > 1.
     """
-    lags, rmax = _lags(r)
     lam, gamma = params.lam, params.gamma
     if gamma > 0.0 and lam > 0.0:
         t, weights = _graded_rule(lam, gamma, rmax)
-        return _combine(lags, *_moments(_nodes(t, weights / np.pi, rmax), lam, gamma))
+        return _lagged(*_moments(_nodes(t, weights / np.pi, rmax), lam, gamma))
     cos_moments = (np.arange(rmax + 1) == 0).astype(float)
     if lam > 1.0:
         phi0 = np.pi - np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))  # arccos(-1/lam)
         k = np.arange(1, rmax + 1)
         cos_moments[0] = 2.0 * phi0 / np.pi - 1.0
         cos_moments[1:] = 2.0 * np.sin(k * phi0) / (np.pi * k)
-    return _combine(lags, cos_moments, np.zeros(rmax + 1))
+    return _lagged(cos_moments, np.zeros(rmax + 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -233,10 +222,10 @@ def _momentum_table(length, rmax):
     return nodes
 
 
-def g_finite(r, params):
-    """Fermionic correlator g(r) for a finite odd chain (momentum sum).
+def g_finite(params, rmax):
+    """Fermionic correlators g(-rmax), ..., g(rmax) for a finite odd chain
+    (momentum sum); g(r) sits at index r + rmax.
 
-    r is an int (returns a float) or an int array (returns an array).
     Momenta are phi_q = 2*pi*q/L with integer q in [-(L-1)/2, (L-1)/2];
     this set reproduces the lowest eigenstate of the odd spin-parity sector.
     The +q and -q terms are summed together, over nodes read from the
@@ -244,17 +233,12 @@ def g_finite(r, params):
     """
     if params.infinite:
         raise ValueError("g_finite requires a finite chain")
-    lags, rmax = _lags(r)
-    nodes = _momentum_table(params.length, rmax)
-    return _combine(lags, *_moments(nodes, params.lam, params.gamma))
+    return _lagged(*_moments(_momentum_table(params.length, rmax), params.lam, params.gamma))
 
 
 def correlators(params, rmax):
     """g(-rmax), ..., g(rmax) from one correlator call; g(r) sits at index r + rmax."""
-    lags = np.arange(-rmax, rmax + 1)
-    if params.infinite:
-        return g_infinite(lags, params)
-    return g_finite(lags, params)
+    return (g_infinite if params.infinite else g_finite)(params, rmax)
 
 
 # The 19 strings of the Pauli expansion, one letter per site.

@@ -3,14 +3,19 @@
 Each one is computed independently of the package code it checks: the
 exact factorized eigenstates of a finite chain at the factorization point,
 the absolute ground state of an exact-diagonalization Hamiltonian from
-its own eigensolver call (the package solves within one parity sector), and
-the dense Hamiltonian as a sum of Kronecker products.
+its own eigensolver call (the package solves within one parity sector), the
+dense Hamiltonian as a sum of Kronecker products, and a feasibility and
+optimality audit of an E_kappa solution on full 8x8 matrices, built on
+`linalg.partial_transpose` (the solver gathers through index tables).
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
 from xymqc.edsim import ConvergenceError, spin_parity_diagonal
+from xymqc.linalg import partial_transpose
 
 _LANCZOS_SEED = 20240901
 
@@ -99,3 +104,55 @@ def kron_hamiltonian(length, lam, gamma):
         h = h - lam * (1 + gamma) / 2 * term({i: "X", j: "X"})
         h = h - lam * (1 - gamma) / 2 * term({i: "Y", j: "Y"})
     return h
+
+
+DIMS3 = (2, 2, 2)
+
+
+@dataclass
+class VerificationReport:
+    min_eigs: tuple        # (S, S^T - rho^T, S^T + rho^T)
+    dual_min_eigs: tuple
+    dual_residual: float   # || X1 + PT(X2) + PT(X3) - I ||
+    duality_gap: float
+    feasible: bool
+    optimal: bool
+
+
+def center_first(rho, center):
+    """rho with qubit `center` moved in front of the other two (kept in order)."""
+    order = [center] + [q for q in range(3) if q != center]
+    t = np.asarray(rho).reshape((2,) * 6).transpose(order + [q + 3 for q in order])
+    return t.reshape(8, 8)
+
+
+def verify_solution(rho, center, solution):
+    """Feasibility and optimality audit of an `sdp.SdpSolution` of the cut
+    center | rest, on the full matrices the solution reports (center first)."""
+    rho_pt = partial_transpose(center_first(rho, center), DIMS3, 0)
+    s = solution.s_matrix
+    s_pt = partial_transpose(s, DIMS3, 0)
+    min_eigs = tuple(
+        float(np.linalg.eigvalsh(z)[0]) for z in (s, s_pt - rho_pt, s_pt + rho_pt)
+    )
+    x1, x2, x3 = solution.dual_blocks
+    dual_min = tuple(float(np.linalg.eigvalsh(x)[0]) for x in (x1, x2, x3))
+    resid = x1 + partial_transpose(x2 + x3, DIMS3, 0) - np.eye(8)
+    dual_resid = float(np.linalg.norm(resid))
+    dual_objective = np.real(np.trace(rho_pt @ x2) - np.trace(rho_pt @ x3))
+    gap = float(np.real(np.trace(s)) - dual_objective)
+    feasible = all(e >= -1e-8 for e in min_eigs)
+    optimal = (
+        feasible
+        and all(e >= -1e-8 for e in dual_min)
+        and dual_resid < 1e-7
+        and abs(gap) < 1e-6
+    )
+    return VerificationReport(
+        min_eigs=min_eigs,
+        dual_min_eigs=dual_min,
+        dual_residual=dual_resid,
+        duality_gap=gap,
+        feasible=feasible,
+        optimal=optimal,
+    )

@@ -276,13 +276,13 @@ class TestN3SpatialReach:
 class TestBoundScan:
     def test_ising_has_no_windows(self):
         grid = np.arange(0.2, 2.0, 0.1)
-        windows = bound_entanglement_scan(1.0, 1, 1, grid, refine=False)
+        windows = bound_entanglement_scan(1.0, 1, 1, grid)
         assert windows == []
 
     def test_window_detection_coarse(self):
         # the known PPT window of the gamma=0.5, m=(4,4) state
         grid = np.arange(0.94, 1.10, 0.01)
-        windows = bound_entanglement_scan(0.5, 4, 4, grid, refine=False)
+        windows = bound_entanglement_scan(0.5, 4, 4, grid)
         assert len(windows) == 1
         w = windows[0]
         assert w.lo < 1.0 < w.hi

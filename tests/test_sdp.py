@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import verify_solution
 from test_measures import kernel_states
 from xymqc import analysis, measures, sdp
 from xymqc.linalg import partial_transpose, trace_norm
@@ -134,7 +135,7 @@ class TestVerifySolution:
     def test_converged_bell(self):
         rho = bell_embedded()
         sol = sdp.solve_kappa(rho, DIMS3, 0)
-        rep = sdp.verify_solution(rho, DIMS3, 0, sol)
+        rep = verify_solution(rho, 0, sol)
         assert all(e >= -1e-8 for e in rep.min_eigs)
         assert rep.duality_gap < 1e-6
         assert rep.feasible and rep.optimal
@@ -143,7 +144,7 @@ class TestVerifySolution:
         rho = bell_embedded()
         sol = sdp.solve_kappa(rho, DIMS3, 0)
         sol.s_matrix = sol.s_matrix - 0.1 * np.eye(8)
-        rep = sdp.verify_solution(rho, DIMS3, 0, sol)
+        rep = verify_solution(rho, 0, sol)
         assert not rep.feasible
 
     def test_random_states_primal_dual(self):
@@ -151,14 +152,14 @@ class TestVerifySolution:
         for _ in range(3):
             rho = random_mixed(rng)
             sol = sdp.solve_kappa(rho, DIMS3, 0)
-            rep = sdp.verify_solution(rho, DIMS3, 0, sol)
+            rep = verify_solution(rho, 0, sol)
             assert rep.feasible and rep.optimal
 
     def test_ppt_window_state(self):
         # the bound-entanglement regime of the anisotropic chain
         rho = rdm3(SpinGeometry(4, 4), ModelParams(1.0, 0.5)).matrix
         sol = sdp.solve_kappa(rho, DIMS3, 0)
-        rep = sdp.verify_solution(rho, DIMS3, 0, sol)
+        rep = verify_solution(rho, 0, sol)
         assert sol.status == "converged"
         assert rep.feasible
         assert rep.duality_gap < 1e-6
@@ -256,12 +257,12 @@ class TestParityReduction:
             sol = sdp.solve_kappa(rho, DIMS3, center)
             assert sol.s_matrix.shape == (8, 8)
             assert [x.shape for x in sol.dual_blocks] == [(8, 8)] * 3
-            rep = sdp.verify_solution(rho, DIMS3, center, sol)
+            rep = verify_solution(rho, center, sol)
             assert rep.feasible and rep.optimal
 
 
-class TestSchurFallback:
-    def test_lstsq_fallback_reported(self, monkeypatch):
+class TestSchurFailure:
+    def test_no_cholesky_ends_as_infeasible_numerics(self, monkeypatch):
         def no_cholesky(matrix):
             raise np.linalg.LinAlgError("forced")
 
@@ -269,10 +270,11 @@ class TestSchurFallback:
         rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
         assert not sdp.binegativity_is_psd(rho, DIMS3, 1)
         sol = sdp.solve_kappa(rho, DIMS3, 1)
-        assert sol.status == "lstsq-fallback"
+        assert sol.status == "infeasible-numerics"
+        assert sol.iterations == 1
         row = analysis.measure_point(1.16, 0.5, 4, 4)
         assert row["status"] != "ok"
-        assert "lstsq-fallback" in row["status"]
+        assert "infeasible-numerics" in row["status"]
 
 
 def reference_binegativity(rho, center):

@@ -131,6 +131,13 @@ def cofactor_det(m):
 LAGS = np.arange(-9, 10)
 
 
+def g_at(fn, params, r):
+    """g(r) for an int or an int array r, from one call fn(params, max |r|)."""
+    r = np.asarray(r)
+    rmax = int(np.max(np.abs(r)))
+    return fn(params, rmax)[r + rmax]
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,40 +163,40 @@ class TestParams:
 
 class TestGInfinite:
     def test_r0_free_field(self):
-        assert abs(g_infinite(0, ModelParams(0.0, 0.7)) - 1.0) < 1e-12
+        assert abs(g_at(g_infinite, ModelParams(0.0, 0.7), 0) - 1.0) < 1e-12
 
     def test_r3_free_field(self):
-        assert abs(g_infinite(3, ModelParams(0.0, 0.3))) < 1e-12
+        assert abs(g_at(g_infinite, ModelParams(0.0, 0.3), 3)) < 1e-12
 
     def test_simpson_oracle_critical_ising(self):
         params = ModelParams(1.0, 1.0)
         for r in (-2, -1, 0, 1, 2):
-            assert abs(g_infinite(r, params) - simpson_reference(r, 1.0, 1.0)) < 1e-9
+            assert abs(g_at(g_infinite, params, r) - simpson_reference(r, 1.0, 1.0)) < 1e-9
 
     def test_simpson_oracle_generic(self):
         for (lam, gamma) in ((0.8, 0.5), (1.3, 0.2), (2.0, 1.0)):
             params = ModelParams(lam, gamma)
             for r in (-3, 0, 2):
                 ref = simpson_reference(r, lam, gamma)
-                assert abs(g_infinite(r, params) - ref) < 1e-9
+                assert abs(g_at(g_infinite, params, r) - ref) < 1e-9
 
     def test_isotropic_above_critical(self):
         # gamma=0, lam>1 has a sign discontinuity inside the integrand
         params = ModelParams(1.5, 0.0)
         for r in (0, 1, 4):
             ref = simpson_reference(r, 1.5, 0.0)
-            assert abs(g_infinite(r, params) - ref) < 1e-9
+            assert abs(g_at(g_infinite, params, r) - ref) < 1e-9
 
 
 class TestGFinite:
     def test_r0_free_field(self):
-        assert abs(g_finite(0, ModelParams(0.0, 0.4, 11)) - 1.0) < 1e-12
+        assert abs(g_at(g_finite, ModelParams(0.0, 0.4, 11), 0) - 1.0) < 1e-12
 
     def test_converges_to_infinite(self):
         fin = ModelParams(0.8, 0.5, 2701)
         inf = ModelParams(0.8, 0.5)
         for r in (-5, -1, 0, 1, 2, 7):
-            assert abs(g_finite(r, fin) - g_infinite(r, inf)) < 1e-5
+            assert abs(g_at(g_finite, fin, r) - g_at(g_infinite, inf, r)) < 1e-5
 
     def test_convergence_across_params(self):
         for gamma in (0.2, 0.5, 1.0):
@@ -197,11 +204,11 @@ class TestGFinite:
                 fin = ModelParams(lam, gamma, 2701)
                 inf = ModelParams(lam, gamma)
                 for r in (-14, -3, 0, 3, 14):
-                    assert abs(g_finite(r, fin) - g_infinite(r, inf)) < 1e-5
+                    assert abs(g_at(g_finite, fin, r) - g_at(g_infinite, inf, r)) < 1e-5
 
     def test_requires_finite_chain(self):
         with pytest.raises(ValueError):
-            g_finite(0, ModelParams(1.0, 0.5))
+            g_finite(ModelParams(1.0, 0.5), 0)
 
 
 def linspace_graded_rule(lam, gamma, rmax):
@@ -243,13 +250,13 @@ class TestMomentumTable:
         for L, lags in cases:
             for lam in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.7):
                 for gamma in (0.01, 1.0):
-                    g = g_finite(lags, ModelParams(lam, gamma, L))
+                    g = g_at(g_finite, ModelParams(lam, gamma, L), lags)
                     ref = [mp_momentum_sum(int(r), L, lam, gamma) for r in lags]
                     worst = max(worst, np.max(np.abs(g - ref)))
         assert worst <= 1e-15
 
     def test_table_is_read_only(self):
-        g_finite(np.arange(-3, 4), ModelParams(0.9, 0.5, 41))
+        g_finite(ModelParams(0.9, 0.5, 41), 3)
         for rows in xychain._momentum_table(41, 3):
             assert not rows.flags.writeable
             with pytest.raises(ValueError):
@@ -259,22 +266,22 @@ class TestMomentumTable:
         maxsize = xychain._momentum_table.cache_info().maxsize
         assert maxsize is not None
         for L in range(5, 5 + 2 * (maxsize + 3), 2):
-            g_finite(1, ModelParams(0.9, 0.5, L))
+            g_finite(ModelParams(0.9, 0.5, L), 1)
         assert xychain._momentum_table.cache_info().currsize == maxsize
         # an evicted length is rebuilt
-        assert abs(g_finite(1, ModelParams(0.9, 0.5, 5))
+        assert abs(g_at(g_finite, ModelParams(0.9, 0.5, 5), 1)
                    - momentum_sum_reference(1, 5, 0.9, 0.5)) <= 1e-15
 
 
 class TestClosedForms:
     def test_gamma_zero_below_and_at_critical(self):
         for lam in (0.0, 0.5, 1.0):
-            g = g_infinite(LAGS, ModelParams(lam, 0.0))
+            g = g_infinite(ModelParams(lam, 0.0), 9)
             assert np.max(np.abs(g - (LAGS == 0))) <= 1e-15
 
     def test_gamma_zero_above_critical(self):
         phi0 = np.arccos(-1.0 / 1.5)
-        g = g_infinite(LAGS, ModelParams(1.5, 0.0))
+        g = g_infinite(ModelParams(1.5, 0.0), 9)
         nonzero = LAGS != 0
         expect = 2.0 * np.sin(LAGS[nonzero] * phi0) / (np.pi * LAGS[nonzero])
         assert np.max(np.abs(g[nonzero] - expect)) <= 1e-15
@@ -289,7 +296,7 @@ class TestCorrelators:
         for lam in lams:
             points = critical_breakpoints(lam)
             for gamma in (0.01, 0.2, 0.5, 0.8, 1.0):
-                g = g_infinite(LAGS, ModelParams(lam, gamma))
+                g = g_infinite(ModelParams(lam, gamma), 9)
                 ref = [quad_reference(int(r), lam, gamma, points) for r in LAGS]
                 worst = max(worst, np.max(np.abs(g - ref)))
         assert worst <= 1e-11
@@ -299,7 +306,7 @@ class TestCorrelators:
         # |1 - lambda|/gamma at phi = pi by up to ~1e-8 here
         for lam in (1.0 - 1e-9, 1.0 + 1e-9):
             points = [math.pi - math.pi * 2.0 ** -k for k in range(1, 41)]
-            g = g_infinite(LAGS, ModelParams(lam, 0.5))
+            g = g_infinite(ModelParams(lam, 0.5), 9)
             ref = [quad_reference(int(r), lam, 0.5, points) for r in LAGS]
             assert np.max(np.abs(g - ref)) <= 1e-12
 
@@ -307,28 +314,29 @@ class TestCorrelators:
         for L in (11, 2701):
             for lam in (0.0, 0.4, 0.9, 1.0, 1.02, 1.7):
                 for gamma in (0.01, 0.5, 1.0):
-                    g = g_finite(LAGS, ModelParams(lam, gamma, L))
+                    g = g_finite(ModelParams(lam, gamma, L), 9)
                     ref = [momentum_sum_reference(int(r), L, lam, gamma) for r in LAGS]
                     assert np.max(np.abs(g - ref)) <= 1e-13
 
-    def test_array_calls_equal_scalar_calls(self):
+    def test_equal_chain_function_at_index_r_plus_rmax(self):
         for params in (ModelParams(1.1, 0.6), ModelParams(0.7, 0.3, 21)):
-            fn = g_finite if params.length else g_infinite
-            g = fn(LAGS, params)
-            assert isinstance(g, np.ndarray) and g.shape == LAGS.shape
-            scalars = [fn(int(r), params) for r in LAGS]
-            assert all(type(v) is float for v in scalars)
-            assert np.max(np.abs(g - scalars)) <= 1e-15
-            assert np.array_equal(correlators(params, 9), g)
+            g = correlators(params, 9)
+            if params.infinite:
+                assert np.array_equal(g, g_infinite(params, 9))
+                t, weights = xychain._graded_rule(params.lam, params.gamma, 9)
+                nodes = xychain._nodes(t, weights / np.pi, 9)
+            else:
+                assert np.array_equal(g, g_finite(params, 9))
+                nodes = xychain._momentum_table(params.length, 9)
+            cos_moments, sin_moments = xychain._moments(nodes, params.lam, params.gamma)
+            # g(r) = C_r - S_r at index r + 9, g(-r) = C_r + S_r at 9 - r
+            assert np.array_equal(g[9:], cos_moments - sin_moments)
+            assert np.array_equal(g[9::-1], cos_moments + sin_moments)
 
     def test_free_field_is_delta(self):
         expect = np.eye(9)[4]
         for params in (ModelParams(0.0, 0.9), ModelParams(0.0, 0.9, 11)):
             assert np.max(np.abs(correlators(params, 4) - expect)) <= 1e-15
-
-    def test_rejects_non_integer_lags(self):
-        with pytest.raises(TypeError):
-            g_infinite(1.5, ModelParams(0.8, 0.5))
 
 
 class TestWickDet:
