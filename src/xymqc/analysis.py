@@ -27,6 +27,9 @@ COLLAPSE_BINS = 20
 DIP_TOL = 1e-9
 EDGE_TOL = 5e-5
 MEASURE_COLUMNS = ("n3", "t3", "tau_ub", "tau_lb")
+# the numeric columns of one grid point: the four measures, the negativities
+# of the cuts 0 | 12, 1 | 02 and 2 | 01, and the concurrence of qubits 0, 1
+POINT_COLUMNS = (*MEASURE_COLUMNS, "neg_i", "neg_j", "neg_k", "c_alpha")
 SDP_COLUMNS = frozenset({"tau_ub"})
 
 
@@ -106,24 +109,16 @@ def grid(lo, hi, step):
 
 
 def measure_point(lam, gamma, alpha, beta, length=None, with_sdp=True):
-    """All measure columns at one grid point, as a plain dict."""
+    """The POINT_COLUMNS and the solver "status" at one grid point, as a plain
+    dict; tau_ub is NaN without the SDP."""
     params = ModelParams(lam, gamma, length)
     rho = rdm3(SpinGeometry(alpha, beta), params)
-    rec = measures.evaluate(
-        rho.matrix, rho.dims, solve_ppt=sdp.e_ppt if with_sdp else None
-    )
-    return {
-        "lambda": lam,
-        "n3": rec.n3,
-        "t3": rec.t3,
-        "tau_ub": rec.tau_ub if rec.tau_ub is not None else np.nan,
-        "tau_lb": rec.tau_lb,
-        "neg_i": rec.bipartite_negativities[0],
-        "neg_j": rec.bipartite_negativities[1],
-        "neg_k": rec.bipartite_negativities[2],
-        "c_alpha": rec.concurrence_01,
-        "status": rec.sdp_status,
-    }
+    rec = measures.evaluate(rho.matrix, solve_ppt=sdp.e_ppt if with_sdp else None)
+    tau_ub = rec.tau_ub if rec.tau_ub is not None else np.nan
+    row = dict(zip(POINT_COLUMNS, (rec.n3, rec.t3, tau_ub, rec.tau_lb,
+                                   *rec.negativities, rec.pair_concurrences[0])))
+    row["status"] = rec.sdp_status
+    return row
 
 
 def _converged_point(lam, gamma, alpha, beta, length, with_sdp):
@@ -149,11 +144,7 @@ def sweep(gamma, alpha, beta, lambdas, length=None, with_sdp=True, workers=1):
             rows = list(pool.map(measure_point, *inputs, chunksize=8))
     else:
         rows = list(map(measure_point, *inputs))
-    columns = {
-        key: np.array([r[key] for r in rows])
-        for key in rows[0]
-        if key not in ("lambda", "status")
-    }
+    columns = {key: np.array([r[key] for r in rows]) for key in POINT_COLUMNS}
     columns["status"] = [r["status"] for r in rows]
     return SweepTable(
         lambdas=lambdas, columns=columns, gamma=gamma, alpha=alpha, beta=beta,
@@ -427,7 +418,7 @@ def factorization_scaling(gamma, alpha, beta, column, lengths):
                                with_sdp=column in SDP_COLUMNS)
         vals.append(row[column])
         rho = rdm3(SpinGeometry(1, 1), ModelParams(lam_f, gamma, int(L)))
-        c1.append(measures.evaluate(rho.matrix).concurrence_01)
+        c1.append(measures.evaluate(rho.matrix).pair_concurrences[0])
     lengths = np.asarray(lengths, dtype=int)
     vals = np.asarray(vals)
     fit = _fit(lengths, np.log(np.clip(vals, 1e-300, None)))

@@ -33,11 +33,7 @@ EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-CSV_FIELDS = [
-    "lambda", "gamma", "alpha", "beta", "L",
-    "n3", "t3", "tau_ub", "tau_lb",
-    "neg_i", "neg_j", "neg_k", "c_alpha", "status",
-]
+CSV_FIELDS = ("lambda", "gamma", "alpha", "beta", "L", *analysis.POINT_COLUMNS, "status")
 
 
 class UsageError(ValueError):
@@ -87,8 +83,9 @@ def _setup(args, *grid):
     """(params, geometry, lambdas) of one command; a bad value is a usage error.
 
     `grid` is (lo, hi, step) for a command that scans lambda; the params
-    then carry the grid's first lambda (0 for factorize, which builds its
-    own window).  geometry is None without --alpha.
+    then carry the grid's first lambda (for factorize, which builds its own
+    window, the factorization point, which exists only for 0 < gamma < 1).
+    geometry is None without --alpha.
     """
     try:
         for name in ("step", "workers"):
@@ -109,7 +106,12 @@ def _setup(args, *grid):
         if getattr(args, "infinite", False) == (args.length is not None):
             raise ValueError("give exactly one of --L <odd int> and --infinite")
         lambdas = analysis.grid(*grid) if grid else None
-        lam = lambdas[0] if grid else getattr(args, "lam", 0.0)
+        if grid:
+            lam = lambdas[0]
+        elif args.command == "factorize":
+            lam = factorization_lambda(args.gamma)
+        else:
+            lam = args.lam
         params = ModelParams(lam, args.gamma, args.length)
         geom = None
         if hasattr(args, "alpha"):
@@ -121,7 +123,7 @@ def _setup(args, *grid):
 
 
 def _fmt(x):
-    if x is None or (isinstance(x, float) and np.isnan(x)):
+    if isinstance(x, float) and np.isnan(x):
         return ""
     return repr(float(x))
 
@@ -132,7 +134,7 @@ def _csv_text(args, table):
     lines = _header_lines(args)
     lines.append(",".join(CSV_FIELDS))
     for k, lam in enumerate(table.lambdas):
-        measured = [table.columns[f][k] for f in CSV_FIELDS[5:-1]]  # n3 .. c_alpha
+        measured = [table.columns[f][k] for f in analysis.POINT_COLUMNS]
         lines.append(",".join(map(_fmt, [lam, *fixed, *measured]))
                      + "," + table.columns["status"][k])
     return "\n".join(lines) + "\n"
@@ -200,12 +202,12 @@ def cmd_fit(args):
 
 
 def cmd_factorize(args):
-    _setup(args)
+    params, _, _ = _setup(args)
     det = analysis.detect_factorization_measure(
         args.measure, args.gamma, args.alpha, args.beta, length=args.length,
         grid_step=args.step,
     )
-    lam_f = factorization_lambda(args.gamma)
+    lam_f = params.lam
     payload = {
         "measure": args.measure, "gamma": args.gamma,
         "alpha": args.alpha, "beta": args.beta,

@@ -33,7 +33,12 @@ is, in real arithmetic.  One more table, `_MIRROR` (64,), gathers
 rho's image under swapping qubits 0 and 2; a state equal to it has equal
 E_kappa on the cuts 0 | 12 and 2 | 01, so the solver runs on two cuts.
 
-`n3` is a view of that record; the other measures are read from it.
+`evaluate` returns one flat `MqcRecord`: the four measures; the per-cut
+tuples of the cuts c | rest for centers c = 0, 1, 2 (negativities, E_f
+lower bounds, E_kappa); and the per-pair tuples in `PAIRS` order
+(negativities, concurrences).  t3, tau_ub and tau_lb are each the mean over
+the centers of x(c|rest)^2 - x(a)^2 - x(b)^2 over the two pairs a, b that
+contain c (`CENTER_PAIRS`).  `n3` is a view of that record.
 """
 
 import math
@@ -60,33 +65,23 @@ CENTER_PAIRS = tuple(
 
 
 @dataclass
-class CenterReport:
-    """Per-center ingredients of the residual measures."""
-
-    center: int
-    negativity: float          # N(x|yz)
-    e_ppt: float | None        # E_PPT(x|yz), None if the SDP was not run
-    ef_lb: float               # Chen lower bound on E_f(x|yz)
-    ef_pair: tuple[float, float]   # E_f(xy), E_f(xz)
-    neg_pair: tuple[float, float]  # N(xy), N(xz)
-    tau_ub: float | None
-    tau_lb: float
-    t3: float
-
-
-@dataclass
 class MqcRecord:
+    """The four measures of one three-qubit state and what they are built from.
+
+    Per-cut tuples hold the cut center | rest for centers 0, 1, 2; per-pair
+    tuples follow PAIRS.
+    """
+
     n3: float
     t3: float
     tau_ub: float | None
     tau_lb: float
-    centers: list[CenterReport]
-    concurrence_01: float      # C(rho_01), the pair of the first two qubits
-    sdp_status: str = "ok"
-
-    @property
-    def bipartite_negativities(self):
-        return tuple(c.negativity for c in self.centers)
+    negativities: tuple[float, float, float]      # N(c|rest)
+    ef_lbs: tuple[float, float, float]            # lower bound on E_f(c|rest)
+    e_ppts: tuple[float, float, float] | None     # E_kappa(c|rest), None without a solver
+    pair_negativities: tuple[float, float, float]
+    pair_concurrences: tuple[float, float, float]
+    sdp_status: str
 
 
 def binary_entropy(x):
@@ -172,83 +167,67 @@ def _gather_tables():
 _CUT_PT, _CUT_RE, _PAIR, _PAIR_PT, _MIRROR = _gather_tables()
 
 
-def n3(rho, dims=DIMS3):
+def _mean_residual(cut_values, pair_values):
+    """Mean over the centers c of x(c|rest)^2 - x(a)^2 - x(b)^2, where a
+    and b are the two pairs that contain c."""
+    return sum(
+        cut_values[c] ** 2 - pair_values[a] ** 2 - pair_values[b] ** 2
+        for c, (a, b) in enumerate(CENTER_PAIRS)
+    ) / 3.0
+
+
+def n3(rho):
     """Geometric mean of the three one-vs-two negativities."""
-    return evaluate(rho, dims).n3
+    return evaluate(rho).n3
 
 
-def evaluate(rho, dims=DIMS3, solve_ppt=None):
-    """Full MqcRecord for a three-qubit state.
+def evaluate(rho, solve_ppt=None):
+    """The flat MqcRecord of a three-qubit state, an 8x8 matrix: the four
+    measures, the per-cut tuples for centers 0, 1, 2 and the per-pair tuples
+    in PAIRS order.
 
     `solve_ppt` is a callable (rho, dims, center) -> (e_ppt, status) that
     returns the E_kappa of the cut center | rest, a quantity that does not
-    change when the qubits are relabelled; if None the SDP-backed tau_ub is
-    skipped and reported as None.  When rho equals its qubit 0 <-> 2 mirror
-    image to within MIRROR_TOL per entry (one gather through `_MIRROR`), as
-    every alpha = beta `rdm3` state does, the cut 2 | 01 is the mirror image
-    of 0 | 12: center 2 reuses center 0's (e_ppt, status) and `solve_ppt`
-    is called for centers 0 and 1 only.
+    change when the qubits are relabelled; if None the SDP-backed tau_ub and
+    the e_ppts are skipped and reported as None.  When rho equals its qubit
+    0 <-> 2 mirror image to within MIRROR_TOL per entry (one gather through
+    `_MIRROR`), as every alpha = beta `rdm3` state does, the cut 2 | 01 is
+    the mirror image of 0 | 12: center 2 reuses center 0's (e_ppt, status)
+    and `solve_ppt` is called for centers 0 and 1 only.
     """
-    dims = tuple(dims)
-    if dims != DIMS3:
-        raise ValueError(f"evaluate takes three qubits, dims {DIMS3}; got {dims}")
     rho = np.asarray(rho)
+    if rho.shape != (8, 8):
+        raise ValueError(f"evaluate takes a three-qubit state, shape (8, 8); got {rho.shape}")
     flat = rho.reshape(64)
     pt_norms = _hermitian_trace_norm(flat[_CUT_PT])
     re_norms = trace_norm(flat[_CUT_RE])
-    ef_lbs = [_ef_bound(lam) for lam in np.maximum(pt_norms, re_norms).tolist()]
-    negs = np.maximum(pt_norms - 1.0, 0.0).tolist()
+    ef_lbs = tuple(_ef_bound(lam) for lam in np.maximum(pt_norms, re_norms).tolist())
+    negs = tuple(np.maximum(pt_norms - 1.0, 0.0).tolist())
 
     pairs = flat[_PAIR].sum(axis=1)
-    pair_negs = np.maximum(
+    pair_negs = tuple(np.maximum(
         _hermitian_trace_norm(pairs.reshape(3, 16)[:, _PAIR_PT]) - 1.0, 0.0
-    ).tolist()
-    pair_cs = concurrence(pairs).tolist()
+    ).tolist())
+    pair_cs = tuple(concurrence(pairs).tolist())
     pair_efs = [eof_from_concurrence(c) for c in pair_cs]
 
-    mirrored = (
-        solve_ppt is not None and np.max(np.abs(flat - flat[_MIRROR])) <= MIRROR_TOL
-    )
-    centers = []
-    statuses = []
-    for center, (a, b) in enumerate(CENTER_PAIRS):
-        ef = (pair_efs[a], pair_efs[b])
-        npair = (pair_negs[a], pair_negs[b])
-        if solve_ppt is not None:
-            if center == 2 and mirrored:
-                e_ppt, status = centers[0].e_ppt, statuses[0]
-            else:
-                e_ppt, status = solve_ppt(rho, dims, center)
-            statuses.append(status)
-            tau_ub_c = e_ppt**2 - ef[0] ** 2 - ef[1] ** 2
-        else:
-            e_ppt, tau_ub_c = None, None
-        centers.append(
-            CenterReport(
-                center=center,
-                negativity=negs[center],
-                e_ppt=e_ppt,
-                ef_lb=ef_lbs[center],
-                ef_pair=ef,
-                neg_pair=npair,
-                tau_ub=tau_ub_c,
-                tau_lb=ef_lbs[center] ** 2 - ef[0] ** 2 - ef[1] ** 2,
-                t3=negs[center] ** 2 - npair[0] ** 2 - npair[1] ** 2,
-            )
-        )
+    e_ppts, statuses = None, ()
+    if solve_ppt is not None:
+        mirrored = np.max(np.abs(flat - flat[_MIRROR])) <= MIRROR_TOL
+        solved = [solve_ppt(rho, DIMS3, center) for center in range(2 if mirrored else 3)]
+        if mirrored:
+            solved.append(solved[0])
+        e_ppts, statuses = zip(*solved)
     clamped = [0.0 if v < NEG_ZERO_TOL else v for v in negs]
     return MqcRecord(
         n3=float(np.cbrt(clamped[0] * clamped[1] * clamped[2])),
-        t3=max(sum(c.t3 for c in centers) / 3.0, 0.0),
-        tau_ub=(
-            sum(c.tau_ub for c in centers) / 3.0 if solve_ppt is not None else None
-        ),
-        tau_lb=max(sum(c.tau_lb for c in centers) / 3.0, 0.0),
-        centers=centers,
-        concurrence_01=pair_cs[0],
-        sdp_status=(
-            "ok"
-            if not statuses or all(s == "converged" for s in statuses)
-            else ";".join(statuses)
-        ),
+        t3=max(_mean_residual(negs, pair_negs), 0.0),
+        tau_ub=_mean_residual(e_ppts, pair_efs) if e_ppts is not None else None,
+        tau_lb=max(_mean_residual(ef_lbs, pair_efs), 0.0),
+        negativities=negs,
+        ef_lbs=ef_lbs,
+        e_ppts=e_ppts,
+        pair_negativities=pair_negs,
+        pair_concurrences=pair_cs,
+        sdp_status="ok" if all(s == "converged" for s in statuses) else ";".join(statuses),
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xymqc import analysis, cli, sdp
+from xymqc import analysis, cli, measures, sdp
 from xymqc.analysis import (
     CriticalScan,
     FactorizationNotFound,
@@ -20,6 +20,7 @@ from xymqc.analysis import (
     scaling_collapse,
     sweep,
 )
+from xymqc.linalg import partial_trace
 from xymqc.xychain import ModelParams, SpinGeometry, factorization_lambda, rdm3
 
 
@@ -58,6 +59,29 @@ class TestSweep:
         parallel = sweep(0.6, 1, 1, grid, with_sdp=False, workers=2)
         for col in ("n3", "t3", "tau_lb", "neg_i"):
             assert np.array_equal(serial.columns[col], parallel.columns[col])
+
+
+class TestMeasurePoint:
+    @pytest.mark.parametrize("length", [41, None])
+    @pytest.mark.parametrize("lam", [0.9, 1.1])
+    def test_columns_read_the_right_cut_and_pair(self, lam, length):
+        # the (2, 1) state is not its own mirror image, so the three cut
+        # negativities differ and a swapped index moves a column
+        rho = rdm3(SpinGeometry(2, 1), ModelParams(lam, 0.5, length)).matrix
+        row = measure_point(lam, 0.5, 2, 1, length, with_sdp=False)
+        assert set(row) == {*analysis.POINT_COLUMNS, "status"}
+        for center, column in enumerate(("neg_i", "neg_j", "neg_k")):
+            assert abs(row[column] - measures.negativity(rho, (2, 2, 2), center)) <= 1e-12
+        assert abs(row["neg_i"] - row["neg_k"]) > 1e-3
+        pair = partial_trace(rho, (2, 2, 2), keep=[0, 1])[0]
+        assert abs(row["c_alpha"] - measures.concurrence(pair)) <= 1e-12
+        assert np.isnan(row["tau_ub"])
+        with_sdp = measure_point(lam, 0.5, 2, 1, length, with_sdp=True)
+        assert with_sdp["status"] == "ok"
+        assert np.isfinite(with_sdp["tau_ub"])
+        for column in analysis.POINT_COLUMNS:
+            if column != "tau_ub":
+                assert with_sdp[column] == row[column]
 
 
 class TestGrid:

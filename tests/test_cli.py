@@ -71,10 +71,13 @@ class TestUsage:
         ["verify", "--L", "9", "--lambda", "0.5", "--gamma", "0.5", "--tolerance", "-1"],
         ["boundscan", *GEOM, "--tau-threshold", "nan"],
         ["fit", "--measure", "n3", *GEOM, "--window-min", "-0.01"],
+        ["factorize", "--alpha", "1", "--beta", "1", "--gamma", "1", "--infinite"],
+        ["factorize", "--alpha", "1", "--beta", "1", "--gamma", "0", "--infinite"],
     ], ids=["sweep-step-0", "sweep-reversed", "boundscan-reversed", "fit-step-0",
             "factorize-step-0", "workers-0", "verify-negative-lambda",
             "verify-gamma-2", "verify-tolerance-nan", "verify-tolerance-negative",
-            "boundscan-tau-threshold-nan", "fit-window-min-negative"])
+            "boundscan-tau-threshold-nan", "fit-window-min-negative",
+            "factorize-gamma-1", "factorize-gamma-0"])
     def test_bad_value_is_one_usage_error(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()

@@ -147,14 +147,14 @@ class TestEfLowerBound:
     def test_product_zero(self):
         rng = np.random.default_rng(3)
         rho = random_product3(rng)
-        assert evaluate(rho).centers[0].ef_lb == 0.0
+        assert evaluate(rho).ef_lbs[0] == 0.0
 
     def test_ghz_saturates(self):
-        assert abs(evaluate(ghz()).centers[0].ef_lb - 1.0) < 1e-12
+        assert abs(evaluate(ghz()).ef_lbs[0] - 1.0) < 1e-12
 
     def test_bell_embedding_tight(self):
         rho = np.kron(bell(), np.diag([1.0, 0.0]).astype(complex))
-        assert abs(evaluate(rho).centers[0].ef_lb - 1.0) < 1e-12
+        assert abs(evaluate(rho).ef_lbs[0] - 1.0) < 1e-12
 
 
 class TestTripartite:
@@ -168,7 +168,7 @@ class TestTripartite:
     def test_biseparable_n3_vanishes(self):
         rng = np.random.default_rng(5)
         rho = np.kron(bell(), random_qubit(rng))
-        assert n3(rho, DIMS3) == 0.0
+        assert n3(rho) == 0.0
 
     def test_product_states_vanish(self):
         rng = np.random.default_rng(6)
@@ -215,11 +215,15 @@ class TestEvaluate:
         rng = np.random.default_rng(9)
         rho = random_pure3(rng)
         rec = evaluate(rho)
-        assert rec.tau_ub is None
-        negs = rec.bipartite_negativities
+        assert rec.tau_ub is None and rec.e_ppts is None
+        negs = rec.negativities
         expect_n3 = np.cbrt(np.prod([0.0 if v < 1e-9 else v for v in negs]))
         assert abs(rec.n3 - expect_n3) < 1e-12
-        assert abs(rec.t3 - max(np.mean([c.t3 for c in rec.centers]), 0.0)) < 1e-12
+        # center c's pairs, as indices into (rho_01, rho_02, rho_12)
+        pair_negs = rec.pair_negativities
+        t3s = [negs[c] ** 2 - pair_negs[a] ** 2 - pair_negs[b] ** 2
+               for c, (a, b) in enumerate(((0, 1), (0, 2), (1, 2)))]
+        assert abs(rec.t3 - max(np.mean(t3s), 0.0)) < 1e-12
 
     def test_solver_callback(self):
         calls = []
@@ -234,7 +238,7 @@ class TestEvaluate:
         assert rec.sdp_status == "ok"
         # tau_ub from the stubbed cost: every cut has log-negativity 1 and
         # every pair is separable
-        assert np.allclose([c.e_ppt for c in rec.centers], 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(rec.e_ppts, 1.0, rtol=0.0, atol=1e-12)
         assert abs(rec.tau_ub - 1.0) < 1e-12
         calls.clear()
         evaluate(random_pure3(np.random.default_rng(10)), solve_ppt=fake_solver)
@@ -258,7 +262,7 @@ class TestBoundOrdering:
             (1.3, 0.2, (2, 2)), (0.999, 0.8, (1, 1)),
         ):
             rho = rdm3(SpinGeometry(*geom), ModelParams(lam, gamma))
-            rec = evaluate(rho.matrix, rho.dims, solve_ppt=sdp.e_ppt)
+            rec = evaluate(rho.matrix, solve_ppt=sdp.e_ppt)
             assert rec.tau_lb <= rec.tau_ub + 1e-6
 
 
@@ -309,10 +313,11 @@ def log_negativity_cost(rho, dims, center):
     return float(np.log2(trace_norm(partial_transpose(rho, dims, center)))), "converged"
 
 
-def reference_centers(rho):
-    """Per-cut formulas: a partial trace per pair and center, SVD trace
-    norms, one scalar concurrence per pair state."""
-    centers = []
+def reference_record(rho):
+    """The MqcRecord fields of rho by per-cut formulas: a partial trace per
+    pair and center, SVD trace norms, one scalar concurrence per pair state,
+    and each center's residuals over its own two pair states."""
+    negs, ef_lbs, e_ppts, t3s, tau_ubs, tau_lbs = ([] for _ in range(6))
     for center in range(3):
         others = [i for i in range(3) if i != center]
         neg = max(trace_norm(partial_transpose(rho, DIMS3, center)) - 1.0, 0.0)
@@ -330,18 +335,29 @@ def reference_centers(rho):
             ef_pair.append(eof_from_concurrence(concurrence(pair)))
             neg_pair.append(max(trace_norm(partial_transpose(pair, pdims, 0)) - 1.0, 0.0))
         e_ppt = log_negativity_cost(rho, DIMS3, center)[0]
-        centers.append(measures.CenterReport(
-            center=center,
-            negativity=neg,
-            e_ppt=e_ppt,
-            ef_lb=ef_lb,
-            ef_pair=tuple(ef_pair),
-            neg_pair=tuple(neg_pair),
-            tau_ub=e_ppt**2 - ef_pair[0] ** 2 - ef_pair[1] ** 2,
-            tau_lb=ef_lb**2 - ef_pair[0] ** 2 - ef_pair[1] ** 2,
-            t3=neg**2 - neg_pair[0] ** 2 - neg_pair[1] ** 2,
-        ))
-    return centers
+        negs.append(neg)
+        ef_lbs.append(ef_lb)
+        e_ppts.append(e_ppt)
+        tau_ubs.append(e_ppt**2 - ef_pair[0] ** 2 - ef_pair[1] ** 2)
+        tau_lbs.append(ef_lb**2 - ef_pair[0] ** 2 - ef_pair[1] ** 2)
+        t3s.append(neg**2 - neg_pair[0] ** 2 - neg_pair[1] ** 2)
+    pair_negs, pair_cs = [], []
+    for pair_sites in ((0, 1), (0, 2), (1, 2)):
+        pair, pdims = partial_trace(rho, DIMS3, keep=list(pair_sites))
+        pair_negs.append(max(trace_norm(partial_transpose(pair, pdims, 0)) - 1.0, 0.0))
+        pair_cs.append(concurrence(pair))
+    clamped = [0.0 if v < measures.NEG_ZERO_TOL else v for v in negs]
+    return {
+        "n3": np.cbrt(np.prod(clamped)),
+        "t3": max(np.mean(t3s), 0.0),
+        "tau_ub": np.mean(tau_ubs),
+        "tau_lb": max(np.mean(tau_lbs), 0.0),
+        "negativities": negs,
+        "ef_lbs": ef_lbs,
+        "e_ppts": e_ppts,
+        "pair_negativities": pair_negs,
+        "pair_concurrences": pair_cs,
+    }
 
 
 def kernel_states():
@@ -360,28 +376,20 @@ def kernel_states():
 
 def record_values(rec):
     """Every number of an MqcRecord, as one array."""
-    values = [rec.n3, rec.t3, rec.tau_ub, rec.tau_lb, rec.concurrence_01]
-    for c in rec.centers:
-        values += [c.negativity, c.e_ppt, c.ef_lb, *c.ef_pair, *c.neg_pair,
-                   c.tau_ub, c.tau_lb, c.t3]
-    return np.array(values)
+    return np.array([rec.n3, rec.t3, rec.tau_ub, rec.tau_lb, *rec.negativities,
+                     *rec.ef_lbs, *rec.e_ppts, *rec.pair_negativities,
+                     *rec.pair_concurrences])
 
 
 class TestSinglePassKernel:
     def test_matches_per_cut_formulas(self):
         worst = 0.0
         for rho in kernel_states():
-            rec = evaluate(rho, DIMS3, solve_ppt=log_negativity_cost)
-            for got, want in zip(rec.centers, reference_centers(rho)):
-                assert got.center == want.center
-                for field in ("negativity", "e_ppt", "ef_lb", "tau_ub", "tau_lb", "t3"):
-                    worst = max(worst, abs(getattr(got, field) - getattr(want, field)))
-                for field in ("ef_pair", "neg_pair"):
-                    assert len(getattr(got, field)) == 2
-                    worst = max(worst, np.max(np.abs(
-                        np.subtract(getattr(got, field), getattr(want, field)))))
-            pair, _ = partial_trace(rho, DIMS3, keep=[0, 1])
-            worst = max(worst, abs(rec.concurrence_01 - concurrence(pair)))
+            rec = evaluate(rho, solve_ppt=log_negativity_cost)
+            for field, want in reference_record(rho).items():
+                got = getattr(rec, field)
+                assert np.shape(got) == np.shape(want), field
+                worst = max(worst, np.max(np.abs(np.subtract(got, want))))
         assert worst <= 1e-12
 
     def test_real_and_complex_inputs_agree(self):
@@ -391,11 +399,11 @@ class TestSinglePassKernel:
         worst = 0.0
         for rho in kernel_states():
             real = rho.real
-            rec = record_values(evaluate(real, DIMS3, solve_ppt=log_negativity_cost))
-            zero_imag = record_values(evaluate(real.astype(complex), DIMS3, solve_ppt=log_negativity_cost))
+            rec = record_values(evaluate(real, solve_ppt=log_negativity_cost))
+            zero_imag = record_values(evaluate(real.astype(complex), solve_ppt=log_negativity_cost))
             a, b, c = (np.diag([1.0, p]) for p in np.exp(2j * np.pi * rng.random(3)))
             u = np.kron(np.kron(a, b), c)
-            rotated = record_values(evaluate(u @ real @ u.conj().T, DIMS3, solve_ppt=log_negativity_cost))
+            rotated = record_values(evaluate(u @ real @ u.conj().T, solve_ppt=log_negativity_cost))
             worst = max(worst, np.max(np.abs(rec - zero_imag)), np.max(np.abs(rec - rotated)))
         assert worst <= 1e-14
 
@@ -407,9 +415,9 @@ class TestSinglePassKernel:
             evaluate(rho)
 
     def test_rejects_non_three_qubit_dims(self):
-        for dims in ((2, 4), (4, 2), (2, 2, 2, 1)):
-            with pytest.raises(ValueError, match="three qubits"):
-                evaluate(np.eye(8, dtype=complex) / 8.0, dims)
+        for d in (4, 16):
+            with pytest.raises(ValueError, match="three-qubit"):
+                evaluate(np.eye(d) / d)
 
 
 def count_calls(monkeypatch, module, name):
@@ -434,7 +442,7 @@ class TestRepeatedWorkGuard:
         conc = count_calls(monkeypatch, measures, "concurrence")
         traces = count_calls(monkeypatch, linalg, "partial_trace")
         transposes = count_calls(monkeypatch, linalg, "partial_transpose")
-        evaluate(rho, DIMS3)
+        evaluate(rho)
         assert (len(conc), len(traces), len(transposes)) == (1, 0, 0)
         conc.clear()
         analysis.measure_point(0.9, 0.5, 2, 1, 41, with_sdp=False)

@@ -208,7 +208,7 @@ class TestEppt:
         monkeypatch.setattr(sdp, "_step_lengths", lambda scaled, d: (0.0, 0.0))
         rho = rdm3(SpinGeometry(4, 4), ModelParams(1.16, 0.5)).matrix
         assert sdp.e_ppt(rho, DIMS3, 1)[1] == "stalled"
-        rec = measures.evaluate(rho, DIMS3, solve_ppt=sdp.e_ppt)
+        rec = measures.evaluate(rho, solve_ppt=sdp.e_ppt)
         assert rec.sdp_status != "ok"
         assert "stalled" in rec.sdp_status
 
@@ -354,11 +354,11 @@ class TestMirrorReuse:
     ])
     def test_center_two_matches_direct_solve(self, geometry, lam, gamma):
         rho = rdm3(SpinGeometry(*geometry), ModelParams(lam, gamma)).matrix
-        rec = measures.evaluate(rho, DIMS3, solve_ppt=sdp.e_ppt)
+        rec = measures.evaluate(rho, solve_ppt=sdp.e_ppt)
         assert rec.sdp_status == "ok"
         direct, status = sdp.e_ppt(rho, DIMS3, 2)
         assert status == "converged"
-        assert abs(rec.centers[2].e_ppt - direct) <= 1e-8
+        assert abs(rec.e_ppts[2] - direct) <= 1e-8
 
     def test_solver_sees_two_centers_on_symmetric_states(self):
         calls = []
@@ -375,8 +375,8 @@ class TestMirrorReuse:
         ]
         for rho in symmetric:
             calls.clear()
-            measures.evaluate(rho, DIMS3, solve_ppt=counting)
+            measures.evaluate(rho, solve_ppt=counting)
             assert calls == [0, 1]
         calls.clear()
-        measures.evaluate(random_mixed(np.random.default_rng(53)), DIMS3, solve_ppt=counting)
+        measures.evaluate(random_mixed(np.random.default_rng(53)), solve_ppt=counting)
         assert calls == [0, 1, 2]
