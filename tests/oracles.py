@@ -2,9 +2,9 @@
 
 Each one is computed independently of the package code it checks: the
 exact factorized eigenstates of a finite chain at the factorization point,
-the absolute ground state of an exact-diagonalization Hamiltonian from
-its own eigensolver call (the package solves within one parity sector), the
-dense Hamiltonian as a sum of Kronecker products, and a feasibility and
+the dense 2^L Hamiltonian as a sum of Kronecker products and its absolute
+ground state (the package diagonalizes only the symmetric states of one
+parity sector), the spin-parity diagonal, and a feasibility and
 optimality audit of an E_kappa solution on full 8x8 matrices, built on
 `linalg.partial_transpose` (the solver gathers through index tables).
 """
@@ -12,12 +12,12 @@ optimality audit of an E_kappa solution on full 8x8 matrices, built on
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
-from xymqc.edsim import ConvergenceError, spin_parity_diagonal
 from xymqc.linalg import partial_transpose
 
-_LANCZOS_SEED = 20240901
+
+class OracleError(RuntimeError):
+    pass
 
 
 def factorized_pair(length, gamma):
@@ -46,17 +46,17 @@ def factorized_pair(length, gamma):
     return even.astype(complex), odd.astype(complex)
 
 
+def spin_parity_diagonal(length):
+    """Diagonal of prod_i sigma_z in the computational basis, bit by bit."""
+    bits = (np.arange(1 << length)[:, None] >> np.arange(length)) & 1
+    return 1.0 - 2.0 * (bits.sum(axis=1) & 1)
+
+
 def lowest_levels(ham):
-    """(energies, vectors) of the two lowest levels of a sparse Hamiltonian,
-    ascending: dense `eigh` up to 512 rows, seeded Lanczos above."""
-    dim = ham.shape[0]
-    if dim <= 512:
-        w, v = np.linalg.eigh(ham.toarray())
-        return w[:2], v[:, :2]
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
-    w, v = eigsh(ham, k=2, which="SA", v0=v0)
-    order = np.argsort(w)
-    return w[order], v[:, order]
+    """(energies, vectors) of the two lowest levels of a dense Hamiltonian,
+    ascending."""
+    w, v = np.linalg.eigh(ham)
+    return w[:2], v[:, :2]
 
 
 def ground_state(ham, degeneracy_tol=1e-9):
@@ -80,7 +80,7 @@ def ground_state(ham, degeneracy_tol=1e-9):
     state /= np.linalg.norm(state)
     residual = np.linalg.norm(ham @ state - energy * state)
     if residual > 1e-8:
-        raise ConvergenceError(f"eigenpair residual {residual:.3e}")
+        raise OracleError(f"eigenpair residual {residual:.3e}")
     return energy, state
 
 

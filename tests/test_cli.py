@@ -12,10 +12,10 @@ ENV = dict(os.environ, SOURCE_DATE_EPOCH="1700000000")
 GEOM = ["--alpha", "1", "--beta", "1", "--gamma", "0.5", "--infinite"]
 
 
-def run_cli(args, **kw):
+def run_cli(args, env=ENV, **kw):
     return subprocess.run(
         [sys.executable, "-m", "xymqc.cli", *args],
-        capture_output=True, text=True, env=ENV, **kw,
+        capture_output=True, text=True, env=env, **kw,
     )
 
 
@@ -190,17 +190,19 @@ class TestVerify:
         assert "worst rdm3 deviation  0.000e+00 at m=(1, 1)" in out
         assert "verify: PASS" in out
 
-    def test_lanczos_failure_is_a_compute_error(self, monkeypatch, capsys):
-        from scipy.sparse import linalg as sparse_linalg
-
-        def no_convergence(*args, **kwargs):
-            raise sparse_linalg.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
-
-        # the L = 11 parity sector (1024 states) is past the dense cutoff
-        monkeypatch.setattr(sparse_linalg, "eigsh", no_convergence)
-        argv = ["verify", "--L", "11", "--lambda", "0.7", "--gamma", "0.5"]
-        assert cli.main(argv) == cli.EXIT_COMPUTE
-        assert "error: Lanczos failed" in capsys.readouterr().err
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_degenerate_reference_level_is_a_compute_error(self, threads):
+        # at gamma = 0, 1 + lambda cos(2 pi 3/9) = 0 is a zero mode, so the
+        # sector's two lowest levels coincide and its state is not unique;
+        # before, the verdict followed whichever vector `eigh` returned
+        env = dict(ENV, OPENBLAS_NUM_THREADS=threads)
+        res = run_cli(["verify", "--L", "9", "--lambda", "2.0", "--gamma", "0.0"], env=env)
+        assert res.returncode == cli.EXIT_COMPUTE
+        assert res.stderr.startswith("error: ") and "degenerate" in res.stderr
+        assert "verify:" not in res.stdout
+        res = run_cli(["verify", "--L", "9", "--lambda", "2.5", "--gamma", "0.0"], env=env)
+        assert res.returncode == 0
+        assert "verify: PASS" in res.stdout
 
     def test_one_correlators_and_one_det_call_per_size_group(self, monkeypatch, capsys):
         # one `det` per group of Wick-matrix sizes in the cached L = 11 table

@@ -3,7 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from oracles import factorized_pair, ground_state, kron_hamiltonian, lowest_levels
+from oracles import (factorized_pair, ground_state, kron_hamiltonian, lowest_levels,
+                     spin_parity_diagonal)
 from xymqc import edsim
 from xymqc.linalg import partial_trace
 from xymqc.xychain import ModelParams, SpinGeometry, factorization_lambda, rdm3
@@ -17,40 +18,116 @@ def test_length_validation():
 
 
 def test_free_field_diagonal():
-    params = ModelParams(0.0, 1.0, 5)
-    ham = edsim.build_hamiltonian(5, params)
-    h = ham.toarray()
+    h = kron_hamiltonian(5, 0.0, 1.0)
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
-    energy, state = ground_state(ham)
+    energy, state = ground_state(h)
     assert abs(energy + 5.0) < 1e-12
     assert abs(abs(state[-1]) - 1.0) < 1e-9  # |11111>
+    # the sector block is diagonal too, and its state is the same |11111>
+    ham = edsim.build_hamiltonian(5, ModelParams(0.0, 1.0, 5))
+    assert np.max(np.abs(ham.matrix - np.diag(np.diag(ham.matrix)))) == 0.0
+    energy, state = edsim.reference_state(ham)
+    assert abs(energy + 5.0) < 1e-12
+    assert abs(abs(state[-1]) - 1.0) < 1e-9
 
 
 def test_hamiltonian_is_real_symmetric():
-    params = ModelParams(0.9, 0.3, 7)
-    h = edsim.build_hamiltonian(7, params).toarray()
+    h = kron_hamiltonian(7, 0.9, 0.3)
+    assert np.max(np.abs(h.imag)) == 0.0
     assert np.max(np.abs(h - h.T)) == 0.0
-    assert np.isrealobj(h)
+    block = edsim.build_hamiltonian(7, ModelParams(0.9, 0.3, 7)).matrix
+    assert np.max(np.abs(block - block.T)) == 0.0
+    assert np.isrealobj(block)
+
+
+def site_permutation(length, image):
+    """Permutation matrix moving the spin of site i to site image[i]."""
+    perm = np.zeros((1 << length, 1 << length))
+    for n in range(1 << length):
+        bits = [(n >> (length - 1 - i)) & 1 for i in range(length)]
+        m = sum(b << (length - 1 - image[i]) for i, b in enumerate(bits))
+        perm[m, n] = 1.0
+    return perm
+
+
+def symmetric_sector_basis(length):
+    """Orthonormal columns spanning the (-1)^L parity states that every
+    translation and reflection of the ring leaves unchanged."""
+    shift = site_permutation(length, [(i + 1) % length for i in range(length)])
+    mirror = site_permutation(length, [length - 1 - i for i in range(length)])
+    group, power = [], np.eye(1 << length)
+    for _ in range(length):
+        group += [power, mirror @ power]
+        power = shift @ power
+    parity = np.diag(spin_parity_diagonal(length))
+    projector = sum(group) / len(group) @ (np.eye(1 << length) + (-1) ** length * parity) / 2
+    w, v = np.linalg.eigh(projector)
+    assert np.all((np.abs(w) < 1e-12) | (np.abs(w - 1.0) < 1e-12))
+    return v[:, w > 0.5]
 
 
 @pytest.mark.parametrize("length", [5, 7])
 def test_hamiltonian_matches_kronecker_sum(length):
+    # the sector block and the Kronecker sum projected onto the symmetric
+    # parity states share one spectrum
+    basis = symmetric_sector_basis(length)
     for lam in (0.0, 0.9, 2.0):
         for gamma in (0.0, 0.4, 1.0):
             ham = edsim.build_hamiltonian(length, ModelParams(lam, gamma, length))
             expect = kron_hamiltonian(length, lam, gamma)
             assert np.max(np.abs(expect.imag)) == 0.0
-            assert np.max(np.abs(ham.toarray() - expect.real)) <= 1e-15
-            # every row stores its diagonal and one entry per bond, none twice
-            assert np.all(np.diff(ham.indptr) == length + 1)
-            cols = np.sort(ham.indices.reshape(-1, length + 1), axis=1)
-            assert np.all(np.diff(cols, axis=1) > 0)
+            assert ham.matrix.shape == (basis.shape[1],) * 2
+            projected = basis.T @ expect.real @ basis
+            assert np.max(np.abs(np.linalg.eigvalsh(ham.matrix)
+                                 - np.linalg.eigvalsh(projected))) <= 1e-12
+
+
+@pytest.mark.parametrize("length,rows", [(5, 4), (7, 9), (9, 23), (11, 63), (13, 190)])
+def test_sector_sizes(length, rows):
+    ham = edsim.build_hamiltonian(length, ModelParams(0.7, 0.5, length))
+    assert ham.matrix.shape == (rows, rows)
+    states, orbit, amplitude, *_ = edsim._sector(length)
+    sizes = np.bincount(orbit)
+    assert len(sizes) == rows and sizes.sum() == len(states) == 1 << (length - 1)
+    assert np.array_equal(amplitude, 1.0 / np.sqrt(sizes[orbit]))
+
+
+@functools.cache
+def full_sector_parts(length):
+    """Z, A and B of H = Z - lam A - lam gamma B on the whole (-1)^L parity
+    sector, from three Kronecker sums."""
+    keep = np.nonzero(spin_parity_diagonal(length) == (-1) ** length)[0]
+    z, h10, h11 = (kron_hamiltonian(length, lam, gamma).real[np.ix_(keep, keep)]
+                   for lam, gamma in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
+    return keep, z, z - h10, h10 - h11
+
+
+@pytest.mark.parametrize("length", [5, 7, 9])
+def test_reference_state_is_lowest_of_full_sector(length):
+    keep, z, hopping, pairing = full_sector_parts(length)
+    for lam in (0.0, 0.5, 1.0, factorization_lambda(0.5), 2.0):
+        for gamma in (0.05, 0.2, 0.5, 1.0):
+            w, v = np.linalg.eigh(z - lam * hopping - lam * gamma * pairing)
+            params = ModelParams(lam, gamma, length)
+            energy, state = edsim.reference_state(edsim.build_hamiltonian(length, params))
+            assert abs(energy - w[0]) <= 1e-12, (lam, gamma)
+            assert 1.0 - abs(state[keep] @ v[:, 0]) <= 1e-12, (lam, gamma)
+            assert not np.any(np.delete(state, keep))
+
+
+@pytest.mark.parametrize("length", [11, 13])
+def test_reference_energy_matches_dispersion(length):
+    for lam in (0.0, 0.5, 1.0, factorization_lambda(0.5), 2.0):
+        for gamma in (0.05, 0.2, 0.5, 1.0):
+            params = ModelParams(lam, gamma, length)
+            energy, _ = edsim.reference_state(edsim.build_hamiltonian(length, params))
+            assert abs(energy - edsim.dispersion_ground_energy(length, params)) < 1e-9
 
 
 @pytest.mark.parametrize("length", [5, 7])
 def test_parity_diagonal_matches_kronecker_product(length):
     expect = np.diag(functools.reduce(np.kron, [np.diag([1.0, -1.0])] * length))
-    assert np.array_equal(edsim.spin_parity_diagonal(length), expect)
+    assert np.array_equal(spin_parity_diagonal(length), expect)
 
 
 def test_reference_state_and_its_reduced_states_are_real():
@@ -67,45 +144,43 @@ def test_reference_state_and_its_reduced_states_are_real():
 
 
 def test_commutes_with_parity():
-    params = ModelParams(1.2, 0.7, 7)
-    h = edsim.build_hamiltonian(7, params)
-    p = edsim.spin_parity_diagonal(7)
-    hp = h.multiply(p[None, :])  # H P
-    ph = h.multiply(p[:, None])  # P H
-    assert abs(hp - ph).max() < 1e-12
+    h = kron_hamiltonian(7, 1.2, 0.7)
+    p = spin_parity_diagonal(7)
+    hp = h * p[None, :]  # H P
+    ph = h * p[:, None]  # P H
+    assert np.abs(hp - ph).max() < 1e-12
 
 
 @pytest.mark.parametrize("length,lam,gamma", [(5, 0.5, 1.0), (11, 1.0, 1.0)])
 def test_ground_energy_matches_dispersion(length, lam, gamma):
     params = ModelParams(lam, gamma, length)
-    ham = edsim.build_hamiltonian(length, params)
-    energy, _ = ground_state(ham)
+    if length <= 9:
+        energy, _ = ground_state(kron_hamiltonian(length, lam, gamma))
+    else:  # past the dense oracle's size: the package's sector state
+        energy, _ = edsim.reference_state(edsim.build_hamiltonian(length, params))
     assert abs(energy - edsim.dispersion_ground_energy(length, params)) < 1e-9
 
 
 def test_ground_state_residual():
-    params = ModelParams(1.3, 0.4, 9)
-    ham = edsim.build_hamiltonian(9, params)
-    energy, state = ground_state(ham)
-    assert np.linalg.norm(ham @ state - energy * state) < 1e-9
+    h = kron_hamiltonian(9, 1.3, 0.4)
+    energy, state = ground_state(h)
+    assert np.linalg.norm(h @ state - energy * state) < 1e-9
 
 
 def test_degeneracy_at_factorization_point():
     gamma = 0.5
-    params = ModelParams(factorization_lambda(gamma), gamma, 9)
-    ham = edsim.build_hamiltonian(9, params)
-    w, _ = lowest_levels(ham)
+    h = kron_hamiltonian(9, factorization_lambda(gamma), gamma)
+    w, _ = lowest_levels(h)
     assert w[1] - w[0] < 1e-9
     # degeneracy resolution picks the even-parity state
-    _, state = ground_state(ham)
-    p = edsim.spin_parity_diagonal(9)
+    _, state = ground_state(h)
+    p = spin_parity_diagonal(9)
     assert np.real(state.conj() @ (p * state)) > 0.999
 
 
 def test_factorized_pair_are_eigenstates():
     for gamma in (0.3, 0.5, 0.8):
-        params = ModelParams(factorization_lambda(gamma), gamma, 9)
-        ham = edsim.build_hamiltonian(9, params)
+        ham = kron_hamiltonian(9, factorization_lambda(gamma), gamma)
         for vec in factorized_pair(9, gamma):
             hv = ham @ vec
             energy = np.real(vec.conj() @ hv)
@@ -204,10 +279,9 @@ def test_reference_state_is_first_excited_after_parity_crossing():
     # can sit in the other parity sector; the analytic construction then
     # reproduces the lowest state of the (-1)^L sector exactly
     params = ModelParams(2.0, 0.5, 9)
-    ham = edsim.build_hamiltonian(9, params)
-    e_abs, state_abs = ground_state(ham)
-    e_ref, _ = edsim.reference_state(ham)
-    p = edsim.spin_parity_diagonal(9)
+    e_abs, state_abs = ground_state(kron_hamiltonian(9, 2.0, 0.5))
+    e_ref, _ = edsim.reference_state(edsim.build_hamiltonian(9, params))
+    p = spin_parity_diagonal(9)
     parity_abs = np.real(state_abs.conj() @ (p * state_abs))
     assert parity_abs > 0.999           # absolute GS has flipped parity here
     assert e_ref > e_abs + 1e-6         # reference is strictly above
@@ -229,18 +303,8 @@ def test_energy_monotone_in_lambda():
     gamma = 0.7
     energies = []
     for lam in (0.0, 0.4, 0.8, 1.2, 1.6, 2.0):
-        ham = edsim.build_hamiltonian(7, ModelParams(lam, gamma, 7))
-        energies.append(ground_state(ham)[0])
+        energies.append(ground_state(kron_hamiltonian(7, lam, gamma))[0])
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
-
-
-def test_matrix_free_sizes():
-    # the 4096-row parity sector at L = 13 exercises the sparse Lanczos path
-    params = ModelParams(0.5, 1.0, 13)
-    ham = edsim.build_hamiltonian(13, params)
-    energy, state = edsim.reference_state(ham)
-    assert abs(energy - edsim.dispersion_ground_energy(13, params)) < 1e-8
-    assert np.linalg.norm(ham @ state - energy * state) < 1e-8
 
 
 def test_rdm2_matches_two_site_marginal():

@@ -383,13 +383,17 @@ class TestImport:
         assert out.stdout.strip() == "False"
 
     def test_cli_does_not_load_scipy(self):
-        # scipy serves only exact diagonalization, imported where it runs
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import xymqc.cli, sys; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, check=True, timeout=60,
+        # scipy is a test dependency only: even exact diagonalization needs
+        # numpy alone
+        script = (
+            "import sys, xymqc.cli\n"
+            "code = xymqc.cli.main(['verify', '--L', '13', '--lambda', '0.7', '--gamma', '0.5'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
         )
-        assert out.stdout.strip() == "False"
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert "verify: PASS" in out.stdout
+        assert out.stdout.splitlines()[-1] == "0 False"
 
     def test_cli_does_not_load_process_pools_or_numpy_polynomial(self):
         # the pool is imported by a parallel sweep and the Gauss-Legendre rule
