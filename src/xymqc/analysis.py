@@ -26,6 +26,9 @@ COLLAPSE_BINS = 20
 # bisection of a bound-entanglement window edge stop
 DIP_TOL = 1e-9
 EDGE_TOL = 5e-5
+# a fine stage of `scan_pseudo_critical` spans this many steps of the stage
+# before it on each side of that stage's minimum
+FINE_HALFWIDTH_STEPS = 2
 MEASURE_COLUMNS = ("n3", "t3", "tau_ub", "tau_lb")
 # the numeric columns of one grid point: the four measures, the negativities
 # of the cuts 0 | 12, 1 | 02 and 2 | 01, and the concurrence of qubits 0, 1
@@ -237,26 +240,52 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
                          coarse=(0.90, 1.05, 1e-3), workers=1):
     """Cascaded scans for the derivative minimum of one measure at finite L.
 
-    Each stage re-scans a narrower window around the previous minimum with
-    a finer grid.  The dip narrows like 1/L, so longer chains earn extra
-    stages; SDP-backed columns stop at 1e-5 where solver noise on the
-    numerical derivative starts to matter.
+    The coarse grid is the caller's.  Each fine stage re-scans the window
+    lambda_m ± FINE_HALFWIDTH_STEPS × (the step of the stage before it)
+    around the previous minimum, at its own step: 1e-4, then 1e-5 from
+    L >= 300, then 1e-6 from L >= 1000.  The dip narrows like 1/L, so longer
+    chains earn extra stages; SDP-backed columns stop at 1e-5 where solver
+    noise on the numerical derivative starts to matter.  A stage whose step
+    is not finer than the step before it is skipped.
+
+    Between stages the minimum moves by a fraction of the previous step: at
+    most 0.067 of it over the criterion-3/4 scans (gamma = 1, L = 41..2701),
+    0.19 at gamma = 0.5, 0.57 at gamma = 0.2 and 1.07 at gamma = 0.1.  A
+    fine-stage WindowError therefore means the stage before did not resolve
+    the dip (its minimum moved by two of its steps or more), not that the
+    caller's window is too narrow.
     """
+    if length is None:
+        raise ValueError("an infinite chain has no pseudo-critical point; give a length")
+    if column not in POINT_COLUMNS:
+        raise ValueError(f"unknown column {column!r}; expected one of {POINT_COLUMNS}")
     with_sdp = column in SDP_COLUMNS
     tbl = sweep(gamma, alpha, beta, grid(*coarse), length=length,
                 with_sdp=with_sdp, workers=workers)
     scan = pseudo_critical(tbl, column)
-    stages = [(1e-4, 6e-3)]
+    steps = [1e-4]
     if length >= 300:
-        stages.append((1e-5, 8e-4))
+        steps.append(1e-5)
     if length >= 1000 and not with_sdp:
-        stages.append((1e-6, 8e-5))
-    for fine_step, halfwidth in stages:
+        steps.append(1e-6)
+    previous = coarse[2]
+    for step in steps:
+        if step >= previous:
+            continue
         center = scan.lambda_m
+        halfwidth = FINE_HALFWIDTH_STEPS * previous
         tbl = sweep(gamma, alpha, beta,
-                    grid(center - halfwidth, center + halfwidth, fine_step),
+                    grid(center - halfwidth, center + halfwidth, step),
                     length=length, with_sdp=with_sdp, workers=workers)
-        scan = pseudo_critical(tbl, column)
+        try:
+            scan = pseudo_critical(tbl, column)
+        except WindowError as err:
+            raise WindowError(
+                f"fine stage at step {step:g} (window lambda={center:.9f} ± "
+                f"{FINE_HALFWIDTH_STEPS} × previous step {previous:g}): the "
+                f"previous stage did not resolve the dip of {column}"
+            ) from err
+        previous = step
     return scan
 
 

@@ -6,13 +6,17 @@ the dense 2^L Hamiltonian as a sum of Kronecker products and its absolute
 ground state (the package diagonalizes only the symmetric states of one
 parity sector), the spin-parity diagonal, and a feasibility and
 optimality audit of an E_kappa solution on full 8x8 matrices, built on
-`linalg.partial_transpose` (the solver gathers through index tables).
+`linalg.partial_transpose` (the solver gathers through index tables), and
+the pseudo-critical cascade with the fixed wide fine windows that
+`analysis.scan_pseudo_critical` used before its windows shrank to two
+steps of the stage before.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from xymqc.analysis import SDP_COLUMNS, grid, pseudo_critical, sweep
 from xymqc.linalg import partial_transpose
 
 
@@ -156,3 +160,30 @@ def verify_solution(rho, center, solution):
         feasible=feasible,
         optimal=optimal,
     )
+
+
+def wide_window_scan(gamma, alpha, beta, length, column,
+                     coarse=(0.90, 1.05, 1e-3), workers=1):
+    """Cascaded scans for the derivative minimum of one measure at finite L.
+
+    Each stage re-scans a narrower window around the previous minimum with
+    a finer grid.  The dip narrows like 1/L, so longer chains earn extra
+    stages; SDP-backed columns stop at 1e-5 where solver noise on the
+    numerical derivative starts to matter.
+    """
+    with_sdp = column in SDP_COLUMNS
+    tbl = sweep(gamma, alpha, beta, grid(*coarse), length=length,
+                with_sdp=with_sdp, workers=workers)
+    scan = pseudo_critical(tbl, column)
+    stages = [(1e-4, 6e-3)]
+    if length >= 300:
+        stages.append((1e-5, 8e-4))
+    if length >= 1000 and not with_sdp:
+        stages.append((1e-6, 8e-5))
+    for fine_step, halfwidth in stages:
+        center = scan.lambda_m
+        tbl = sweep(gamma, alpha, beta,
+                    grid(center - halfwidth, center + halfwidth, fine_step),
+                    length=length, with_sdp=with_sdp, workers=workers)
+        scan = pseudo_critical(tbl, column)
+    return scan

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from oracles import wide_window_scan
 from xymqc import analysis, cli, measures, sdp
 from xymqc.analysis import (
     CriticalScan,
@@ -91,14 +94,16 @@ class TestGrid:
 
     def benchmark_grids(self):
         # the boundscan_sdp and fss_n3 reference ranges with seeded sub-step
-        # offsets, and the cascade stages of scan_pseudo_critical
+        # offsets, and the fine stages of scan_pseudo_critical, each spanning
+        # FINE_HALFWIDTH_STEPS steps of the stage before
         rng = np.random.default_rng(5)
         for lo, hi, step in ((0.93, 1.25, 0.004), (0.90, 1.05, 0.001)):
             yield lo, hi, step
             for offset in rng.uniform(0.0, step, size=5):
                 yield lo + offset, hi + offset, step
         center = 1.000002688109504
-        for step, half in ((1e-4, 6e-3), (1e-5, 8e-4), (1e-6, 8e-5)):
+        for previous, step in ((1e-3, 1e-4), (1e-4, 1e-5), (1e-5, 1e-6)):
+            half = analysis.FINE_HALFWIDTH_STEPS * previous
             yield center - half, center + half, step
 
     def test_matches_inclusive_arange(self):
@@ -153,6 +158,83 @@ class TestPseudoCritical:
         tbl.columns["d_y"] = -lam  # minimum at the right edge
         with pytest.raises(WindowError):
             pseudo_critical(tbl, "y")
+
+
+class TestScanPseudoCritical:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The number of measure_point calls, counted as they happen."""
+        count = [0]
+        real = analysis.measure_point
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "measure_point", counting)
+        return count
+
+    @pytest.fixture
+    def no_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("measure_point called")
+
+        monkeypatch.setattr(analysis, "measure_point", refuse)
+
+    def test_infinite_chain_rejected_before_any_sweep(self, no_points):
+        with pytest.raises(ValueError, match="infinite chain"):
+            analysis.scan_pseudo_critical(1.0, 2, 1, None, "n3")
+
+    def test_unknown_column_rejected_before_any_sweep(self, no_points):
+        with pytest.raises(ValueError, match="bogus"):
+            analysis.scan_pseudo_critical(1.0, 2, 1, 41, "bogus")
+
+    @pytest.mark.parametrize("gamma, alpha, beta, length, column", [
+        (1.0, 2, 1, 1001, "n3"),
+        (1.0, 1, 1, 401, "t3"),
+        (1.0, 1, 1, 1001, "tau_lb"),
+        (0.1, 2, 2, 1001, "t3"),
+        (0.1, 1, 1, 1001, "tau_lb"),
+        (0.2, 2, 1, 2701, "tau_lb"),
+    ])
+    def test_matches_wide_windows(self, gamma, alpha, beta, length, column):
+        args = (gamma, alpha, beta, length, column)
+        scan = analysis.scan_pseudo_critical(*args)
+        wide = wide_window_scan(*args)
+        assert abs(scan.lambda_m - wide.lambda_m) <= 1e-8
+        assert abs(scan.min_derivative - wide.min_derivative) <= 1e-8
+
+    @pytest.mark.parametrize("length, expected", [(2701, 274), (401, 233), (41, 192)])
+    def test_point_count(self, calls, length, expected):
+        # 151 coarse points, then 41 per fine stage
+        analysis.scan_pseudo_critical(1.0, 2, 1, length, "n3")
+        assert calls[0] == expected
+
+    def test_fine_coarse_grid_runs_no_fine_stage(self, calls):
+        coarse = (1.003, 1.009, 1e-5)
+        scan = analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3", coarse=coarse)
+        assert calls[0] == len(analysis.grid(*coarse))
+        table = sweep(1.0, 2, 1, analysis.grid(*coarse), length=41, with_sdp=False)
+        assert scan == pseudo_critical(table, "n3")
+
+    def test_fine_stage_edge_names_the_stage(self, monkeypatch):
+        # the coarse stage's minimum, moved by 5 of its steps
+        real = analysis.pseudo_critical
+        stages = []
+
+        def displaced(table, column):
+            scan = real(table, column)
+            stages.append(scan)
+            if len(stages) == 1:
+                return dataclasses.replace(scan, lambda_m=scan.lambda_m + 5e-3)
+            return scan
+
+        monkeypatch.setattr(analysis, "pseudo_critical", displaced)
+        with pytest.raises(WindowError, match="fine stage at step 0.0001") as err:
+            analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3")
+        assert "previous step 0.001" in str(err.value)
+        assert isinstance(err.value.__cause__, WindowError)
+        assert "window edge" in str(err.value.__cause__)
 
 
 class TestFits:
