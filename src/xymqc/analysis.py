@@ -166,13 +166,18 @@ def derivative(table, column):
     return table
 
 
-def pseudo_critical(table, column):
-    """Locate the minimum of d_<column> by parabolic interpolation."""
+def _converged_derivative(table, column):
+    """d_<column> of a table whose solves all converged, added if missing."""
     table.require_converged()
     name = "d_" + column
     if name not in table.columns:
         derivative(table, column)
-    y = table.columns[name]
+    return table.columns[name]
+
+
+def pseudo_critical(table, column):
+    """Locate the minimum of d_<column> by parabolic interpolation."""
+    y = _converged_derivative(table, column)
     i = int(np.argmin(y))
     if i == 0 or i == len(y) - 1:
         raise WindowError(
@@ -205,10 +210,7 @@ def _fit(x, y):
 
 def fit_log_divergence(table, column, window=(3e-4, 3e-2), side="below"):
     """Fit d_<column> = a * ln|lambda - LAMBDA_C| + b on one side of LAMBDA_C."""
-    table.require_converged()
-    name = "d_" + column
-    if name not in table.columns:
-        derivative(table, column)
+    y = _converged_derivative(table, column)
     dist = table.lambdas - LAMBDA_C
     mask = (np.abs(dist) >= window[0]) & (np.abs(dist) <= window[1])
     if side == "below":
@@ -217,7 +219,7 @@ def fit_log_divergence(table, column, window=(3e-4, 3e-2), side="below"):
         mask &= dist > 0
     if np.count_nonzero(mask) < 5:
         raise WindowError("fit window selects fewer than 5 points")
-    return _fit(np.log(np.abs(dist[mask])), table.columns[name][mask])
+    return _fit(np.log(np.abs(dist[mask])), y[mask])
 
 
 def fit_finite_size(scans):
@@ -299,26 +301,17 @@ class CollapseResult:
 def scaling_collapse(tables, column, scans=None, x_window=None):
     """Rescale derivative curves to (L*(lambda-lambda_m), d - d(lambda_m)).
 
-    `tables` maps length -> SweepTable with the derivative column present.
+    `tables` maps length -> SweepTable; a missing derivative column is added.
     The quality metric is the worst inter-curve spread over COLLAPSE_BINS
     bins inside `x_window` (default: the full common support), normalized by
     the data range over the common support.
     """
     curves = {}
     for length, table in tables.items():
-        table.require_converged()
-        name = "d_" + column
-        if name not in table.columns:
-            derivative(table, column)
+        d = _converged_derivative(table, column)
         scan = (scans or {}).get(length) or pseudo_critical(table, column)
-        y0 = float(np.interp(scan.lambda_m, table.lambdas, table.columns[name]))
-        x = length * (table.lambdas - scan.lambda_m)
-        y = table.columns[name] - y0
-        curves[length] = (x, y)
-    if len(curves) == 1:
-        only = next(iter(curves.values()))
-        return CollapseResult(curves=curves, spread=0.0,
-                              window=(float(only[0].min()), float(only[0].max())))
+        y0 = float(np.interp(scan.lambda_m, table.lambdas, d))
+        curves[length] = (length * (table.lambdas - scan.lambda_m), d - y0)
     full_lo = max(c[0].min() for c in curves.values())
     full_hi = min(c[0].max() for c in curves.values())
     lo, hi = x_window if x_window is not None else (full_lo, full_hi)
@@ -343,7 +336,6 @@ def scaling_collapse(tables, column, scans=None, x_window=None):
 class FactorizationDetection:
     lambda_detected: float
     dip_value: float
-    window: tuple
 
 
 def _golden_minimize(fn, lo, hi):
@@ -375,8 +367,7 @@ def detect_factorization(evaluator, window, grid_step=2e-3):
     deaths are rejected), then narrows the dip by golden-section search and
     checks it actually reaches zero.
     """
-    lo, hi = window
-    lambdas = grid(lo, hi, grid_step)
+    lambdas = grid(*window, grid_step)
     vals = np.array([evaluator(l) for l in lambdas])
     i = int(np.argmin(vals))
     if i == 0 or i == len(vals) - 1:
@@ -394,8 +385,7 @@ def detect_factorization(evaluator, window, grid_step=2e-3):
         raise FactorizationNotFound(
             f"dip bottom {dip:.3e} stays above the zero threshold"
         )
-    return FactorizationDetection(lambda_detected=float(lam), dip_value=float(dip),
-                                  window=(lo, hi))
+    return FactorizationDetection(lambda_detected=float(lam), dip_value=float(dip))
 
 
 def measure_evaluator(column, gamma, alpha, beta, length=None):
@@ -408,53 +398,41 @@ def measure_evaluator(column, gamma, alpha, beta, length=None):
     return evaluate
 
 
-def detect_factorization_measure(column, gamma, alpha, beta, window=None,
-                                 length=None, **kwargs):
+def detect_factorization_measure(column, gamma, alpha, beta, length=None,
+                                 grid_step=2e-3):
     """Factorization-point detection for one measure of the XY chain.
 
-    Only n3 and tau_ub carry the sudden-change signature at a usable scale;
-    t3 and tau_lb are rejected up front.
+    Scans lambda_f(gamma) ± 0.04 at `grid_step`, then narrows the dip as
+    `detect_factorization` does.  Only n3 and tau_ub carry the sudden-change
+    signature at a usable scale; t3 and tau_lb are rejected up front.
     """
     if column not in SUDDEN_CHANGE_COLUMNS:
         raise FactorizationNotFound(
             f"{column} is not a sudden-change indicator; use one of "
             f"{SUDDEN_CHANGE_COLUMNS}"
         )
-    if window is None:
-        lam_f = factorization_lambda(gamma)
-        window = (lam_f - 0.04, lam_f + 0.04)
+    lam_f = factorization_lambda(gamma)
     evaluator = measure_evaluator(column, gamma, alpha, beta, length)
-    return detect_factorization(evaluator, window, **kwargs)
+    return detect_factorization(evaluator, (lam_f - 0.04, lam_f + 0.04), grid_step)
 
 
 @dataclass
 class FactorizationScaling:
-    gamma: float
-    alpha: int
-    beta: int
     lengths: np.ndarray
     values: np.ndarray           # measure at lambda_f per length
-    concurrence_nn: np.ndarray   # nearest-neighbor concurrence series
     fit: FitResult               # ln(value) vs L
 
 
 def factorization_scaling(gamma, alpha, beta, column, lengths):
-    """Measure at the factorization point versus finite chain length."""
+    """One measure at lambda_f(gamma) on each finite length, with the fit of
+    its logarithm against L; an unconverged point raises NonConvergedPoint."""
     lam_f = factorization_lambda(gamma)
-    vals, c1 = [], []
-    for L in lengths:
-        row = _converged_point(lam_f, gamma, alpha, beta, int(L),
-                               with_sdp=column in SDP_COLUMNS)
-        vals.append(row[column])
-        rho = rdm3(SpinGeometry(1, 1), ModelParams(lam_f, gamma, int(L)))
-        c1.append(measures.evaluate(rho.matrix).pair_concurrences[0])
+    with_sdp = column in SDP_COLUMNS
+    vals = np.array([_converged_point(lam_f, gamma, alpha, beta, int(L), with_sdp)[column]
+                     for L in lengths])
     lengths = np.asarray(lengths, dtype=int)
-    vals = np.asarray(vals)
     fit = _fit(lengths, np.log(np.clip(vals, 1e-300, None)))
-    return FactorizationScaling(
-        gamma=gamma, alpha=alpha, beta=beta, lengths=lengths, values=vals,
-        concurrence_nn=np.asarray(c1), fit=fit,
-    )
+    return FactorizationScaling(lengths=lengths, values=vals, fit=fit)
 
 
 @dataclass

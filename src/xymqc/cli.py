@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage, 3 I/O.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -61,12 +62,21 @@ def _header_lines(args):
 
 
 def _write_atomic(path, text):
+    """Write a temp file beside `path` and rename it over `path`, with the
+    mode open(path, "w") would give; a failed write removes the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xymqc-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fd, 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
@@ -173,29 +183,25 @@ def cmd_sweep(args):
 
 
 def cmd_fit(args):
-    column = args.measure
-    step = args.step
-    side = args.side
-    lo = 1.0 - args.window_max - 2 * step
-    hi = 1.0 + args.window_max + 2 * step
-    if side == "below":
-        hi = 1.0 - args.window_min / 3
-    elif side == "above":
-        lo = 1.0 + args.window_min / 3
+    column, step = args.measure, args.step
+    lo = analysis.LAMBDA_C - args.window_max - 2 * step
+    hi = analysis.LAMBDA_C + args.window_max + 2 * step
+    if args.side == "below":
+        hi = analysis.LAMBDA_C - args.window_min / 3
+    elif args.side == "above":
+        lo = analysis.LAMBDA_C + args.window_min / 3
     _, _, lambdas = _setup(args, lo, hi, step)
     table = analysis.sweep(args.gamma, args.alpha, args.beta, lambdas,
                            length=args.length, with_sdp=column in analysis.SDP_COLUMNS,
                            workers=args.workers)
     fit = analysis.fit_log_divergence(
-        table, column, window=(args.window_min, args.window_max), side=side
+        table, column, window=(args.window_min, args.window_max), side=args.side
     )
     payload = {
         "measure": column, "gamma": args.gamma,
         "alpha": args.alpha, "beta": args.beta,
         "L": args.length if args.length is not None else "inf",
-        "slope": fit.slope, "intercept": fit.intercept,
-        "rms_residual": fit.rms_residual, "window": list(fit.window),
-        "n_points": fit.n_points, "r_squared": fit.r_squared,
+        **dataclasses.asdict(fit),
     }
     _emit(args, _json_text(args, payload))
     return EXIT_OK
@@ -211,8 +217,7 @@ def cmd_factorize(args):
     payload = {
         "measure": args.measure, "gamma": args.gamma,
         "alpha": args.alpha, "beta": args.beta,
-        "lambda_detected": det.lambda_detected,
-        "dip_value": det.dip_value,
+        **dataclasses.asdict(det),
         "lambda_f_analytic": lam_f,
         "deviation": det.lambda_detected - lam_f,
     }
@@ -228,15 +233,7 @@ def cmd_boundscan(args):
         args.gamma, args.alpha, args.beta, lambdas, length=args.length,
         tau_threshold=args.tau_threshold, workers=args.workers,
     )
-    payload = [
-        {
-            "lo": w.lo, "hi": w.hi,
-            "max_tau_ub": w.max_tau_ub, "min_tau_ub": w.min_tau_ub,
-            "max_neg_outer": w.max_neg_outer,
-        }
-        for w in windows
-    ]
-    _emit(args, _json_text(args, payload))
+    _emit(args, _json_text(args, [dataclasses.asdict(w) for w in windows]))
     for w in windows:
         print(f"window ({w.lo:.4f}, {w.hi:.4f}) max tau_ub {w.max_tau_ub:.3e}")
     if not windows:
@@ -263,8 +260,9 @@ def cmd_fidelity(args):
 
 def cmd_verify(args):
     params, _, _ = _setup(args)
-    if args.length > 14:
-        raise UsageError(f"--L must be <= 14 for exact diagonalization, got {args.length}")
+    if args.length not in edsim.LENGTHS:
+        raise UsageError(f"--L must be one of {edsim.LENGTHS} for exact "
+                         f"diagonalization, got {args.length}")
     ham = edsim.build_hamiltonian(args.length, params)
     energy, state = edsim.reference_state(ham)
     geoms = [SpinGeometry(alpha, beta)

@@ -98,7 +98,7 @@ def build_hamiltonian(length, params):
     """H = -lambda sum[(1+g)/2 XX + (1-g)/2 YY] + sum Z, site L+1 = 1, on
     the dihedral-even states of the (-1)^L parity sector."""
     if length not in LENGTHS:
-        raise ValueError(f"length must be odd in [5, 14], got {length}")
+        raise ValueError(f"length must be one of {LENGTHS}, got {length}")
     *_, field, hopping, pairing = _sector(length)
     lam = params.lam
     return SectorHamiltonian(length, field - lam * hopping - (lam * params.gamma) * pairing)
@@ -157,7 +157,7 @@ def reduced_states(state, site_lists, length):
 def reduced_state(state, sites, length):
     """Partial trace of |state><state| keeping the listed sites, in order."""
     rho = reduced_states(state, [sites], length)[0]
-    return DensityMatrix(rho, (2,) * len(sites), validate=False)
+    return DensityMatrix(rho, (2,) * len(sites))
 
 
 def dispersion_ground_energy(length, params):

@@ -45,15 +45,14 @@ class DensityMatrix:
     """A Hermitian, unit-trace, PSD matrix over a list of subsystem dims, in
     the dtype it is built with (real for a real state)."""
 
-    def __init__(self, matrix, dims, validate=True):
+    def __init__(self, matrix, dims):
         matrix = np.asarray(matrix)
         dims = tuple(int(d) for d in dims)
         if matrix.shape != (math.prod(dims), math.prod(dims)):
             raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims}")
         self.matrix = matrix
         self.dims = dims
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self):
         validate_density(self.matrix)

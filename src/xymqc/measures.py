@@ -38,7 +38,7 @@ tuples of the cuts c | rest for centers c = 0, 1, 2 (negativities, E_f
 lower bounds, E_kappa); and the per-pair tuples in `PAIRS` order
 (negativities, concurrences).  t3, tau_ub and tau_lb are each the mean over
 the centers of x(c|rest)^2 - x(a)^2 - x(b)^2 over the two pairs a, b that
-contain c (`CENTER_PAIRS`).  `n3` is a view of that record.
+contain c (`CENTER_PAIRS`).
 """
 
 import math
@@ -174,11 +174,6 @@ def _mean_residual(cut_values, pair_values):
         cut_values[c] ** 2 - pair_values[a] ** 2 - pair_values[b] ** 2
         for c, (a, b) in enumerate(CENTER_PAIRS)
     ) / 3.0
-
-
-def n3(rho):
-    """Geometric mean of the three one-vs-two negativities."""
-    return evaluate(rho).n3
 
 
 def evaluate(rho, solve_ppt=None):

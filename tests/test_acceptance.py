@@ -294,8 +294,8 @@ def test_criterion_09_measure_properties():
     for (lam, gamma) in ((0.8, 1.0), (1.2, 0.5), (1.02, 0.2)):
         params = ModelParams(lam, gamma)
         for (alpha, beta) in ((2, 1), (3, 2)):
-            a = measures.n3(rdm3(SpinGeometry(alpha, beta), params).matrix)
-            b = measures.n3(rdm3(SpinGeometry(beta, alpha), params).matrix)
+            a = measures.evaluate(rdm3(SpinGeometry(alpha, beta), params).matrix).n3
+            b = measures.evaluate(rdm3(SpinGeometry(beta, alpha), params).matrix).n3
             worst_mirror = max(worst_mirror, abs(a - b))
     ok = (
         worst_mono >= -1e-9 and ghz_ok < 1e-6
@@ -316,11 +316,15 @@ def test_criterion_10_factorization_scaling():
     details = []
     anchors = {}
     for gamma in (0.2, 0.4, 0.6, 0.8):
+        lam_f = factorization_lambda(gamma)
+        # nearest-neighbour concurrence at lambda_f on each length
+        c_nn = np.array([analysis.measure_point(lam_f, gamma, 1, 1, L, with_sdp=False)["c_alpha"]
+                         for L in lengths])
         for (alpha, beta) in ((1, 1), (2, 1)):
             fs = analysis.factorization_scaling(gamma, alpha, beta, "n3", lengths)
             ub = analysis.factorization_scaling(gamma, alpha, beta, "tau_ub", lengths)
             ok &= fs.fit.r_squared > 0.999
-            ok &= bool(np.all(fs.values >= fs.concurrence_nn - 1e-12))
+            ok &= bool(np.all(fs.values >= c_nn - 1e-12))
             ok &= bool(np.all(ub.values < fs.values))
             if (alpha, beta) == (1, 1):
                 anchors[gamma] = fs.values[lengths.index(21)]

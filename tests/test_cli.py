@@ -73,15 +73,21 @@ class TestUsage:
         ["fit", "--measure", "n3", *GEOM, "--window-min", "-0.01"],
         ["factorize", "--alpha", "1", "--beta", "1", "--gamma", "1", "--infinite"],
         ["factorize", "--alpha", "1", "--beta", "1", "--gamma", "0", "--infinite"],
+        ["verify", "--L", "15", "--lambda", "0.5", "--gamma", "0.5"],
     ], ids=["sweep-step-0", "sweep-reversed", "boundscan-reversed", "fit-step-0",
             "factorize-step-0", "workers-0", "verify-negative-lambda",
             "verify-gamma-2", "verify-tolerance-nan", "verify-tolerance-negative",
             "boundscan-tau-threshold-nan", "fit-window-min-negative",
-            "factorize-gamma-1", "factorize-gamma-0"])
+            "factorize-gamma-1", "factorize-gamma-0", "verify-L-15"])
     def test_bad_value_is_one_usage_error(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ")
+
+    def test_verify_length_error_names_the_ed_lengths(self, capsys):
+        assert cli.main(["verify", "--L", "15", "--lambda", "0.5",
+                         "--gamma", "0.5"]) == cli.EXIT_USAGE
+        assert str(edsim.LENGTHS) in capsys.readouterr().err
 
 
 class TestRdm:
@@ -142,6 +148,28 @@ class TestSweep:
                        "--infinite", "--lambda-min", "0.5", "--lambda-max", "0.5",
                        "--step", "0.1", "--output", "/nonexistent-dir/x.csv"])
         assert res.returncode == 3
+
+
+RDM = ["rdm", "--alpha", "1", "--beta", "1", "--lambda", "0.8", "--gamma", "0.5",
+       "--infinite"]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # the mode a plain open(path, "w") gives, not the temp file's 0600
+        out = tmp_path / "rho.txt"
+        assert run_cli([*RDM, "--output", str(out)], umask=umask).returncode == 0
+        assert out.stat().st_mode & 0o777 == mode
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert cli.main([*RDM, "--output", str(target)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list(target.iterdir()) == []
 
 
 class TestFactorize:
@@ -277,6 +305,45 @@ class TestConfigRoundTrip:
         assert [args["tolerance"] for args in seen[2:]] == [1e-3, 1e-8]
         assert all("tolerance" not in args for args in seen[:2])
         assert all("no_sdp" not in args for args in seen[2:])
+
+
+def json_keys(capsys):
+    """Key order of the JSON document a command just printed; for a list,
+    that of each of its objects."""
+    body = "\n".join(l for l in capsys.readouterr().out.splitlines()
+                     if not l.startswith("#"))
+    payload, _ = json.JSONDecoder().raw_decode(body)
+    return [list(p) for p in payload] if isinstance(payload, list) else list(payload)
+
+
+class TestJsonSchema:
+    # each document is the command's identity fields followed by the fields
+    # of its analysis record: FitResult, FactorizationDetection, BoundWindow
+    IDENTITY = ["measure", "gamma", "alpha", "beta"]
+
+    def test_fit_keys(self, capsys):
+        assert cli.main(["fit", "--measure", "n3", "--alpha", "2", "--beta", "1",
+                         "--gamma", "1", "--L", "41", "--step", "1e-3"]) == 0
+        assert json_keys(capsys) == [
+            *self.IDENTITY, "L", "slope", "intercept", "rms_residual", "window",
+            "n_points", "r_squared",
+        ]
+
+    def test_factorize_keys(self, capsys):
+        assert cli.main(["factorize", "--measure", "n3", "--alpha", "1", "--beta", "1",
+                         "--gamma", "0.5", "--infinite"]) == 0
+        assert json_keys(capsys) == [
+            *self.IDENTITY, "lambda_detected", "dip_value", "lambda_f_analytic",
+            "deviation",
+        ]
+
+    def test_boundscan_keys(self, capsys):
+        assert cli.main(["boundscan", "--gamma", "0.5", "--alpha", "4", "--beta", "4",
+                         "--infinite", "--lambda-min", "0.95", "--lambda-max", "1.05",
+                         "--step", "0.01"]) == 0
+        assert json_keys(capsys) == [
+            ["lo", "hi", "max_tau_ub", "min_tau_ub", "max_neg_outer"],
+        ]
 
 
 class TestFit:

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from xymqc.xychain import ModelParams, SpinGeometry, factorization_lambda, rdm3
 
 def test_length_validation():
     params = ModelParams(1.0, 0.5, 9)
-    for bad in (4, 8, 15, 16):
-        with pytest.raises(ValueError):
+    for bad in (3, 4, 8, 15, 16):
+        with pytest.raises(ValueError, match=re.escape(str(edsim.LENGTHS))):
             edsim.build_hamiltonian(bad, params)
 
 

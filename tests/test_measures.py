@@ -8,7 +8,6 @@ from xymqc.measures import (
     concurrence,
     eof_from_concurrence,
     evaluate,
-    n3,
     negativity,
 )
 from xymqc.xychain import ModelParams, SpinGeometry, rdm3
@@ -168,7 +167,7 @@ class TestTripartite:
     def test_biseparable_n3_vanishes(self):
         rng = np.random.default_rng(5)
         rho = np.kron(bell(), random_qubit(rng))
-        assert n3(rho) == 0.0
+        assert evaluate(rho).n3 == 0.0
 
     def test_product_states_vanish(self):
         rng = np.random.default_rng(6)
