@@ -29,6 +29,11 @@ EDGE_TOL = 5e-5
 # a fine stage of `scan_pseudo_critical` spans this many steps of the stage
 # before it on each side of that stage's minimum
 FINE_HALFWIDTH_STEPS = 2
+# a fine stage measures the points within this many of its steps of its
+# centre, and as many beyond a derivative minimum that lacks two
+# central-difference neighbours: the parabolic fit's 5-point stencil plus
+# one point of margin
+FINE_RUN_STEPS = 3
 MEASURE_COLUMNS = ("n3", "t3", "tau_ub", "tau_lb")
 # the numeric columns of one grid point: the four measures, the negativities
 # of the cuts 0 | 12, 1 | 02 and 2 | 01, and the concurrence of qubits 0, 1
@@ -81,6 +86,14 @@ class SweepTable:
     alpha: int
     beta: int
     length: int | None = None
+
+    @classmethod
+    def from_rows(cls, lambdas, rows, gamma, alpha, beta, length):
+        """The table of `measure_point` rows taken at `lambdas`, in order."""
+        columns = {key: np.array([r[key] for r in rows]) for key in POINT_COLUMNS}
+        columns["status"] = [r["status"] for r in rows]
+        return cls(lambdas=lambdas, columns=columns, gamma=gamma, alpha=alpha,
+                   beta=beta, length=length)
 
     @property
     def spacing(self):
@@ -147,12 +160,7 @@ def sweep(gamma, alpha, beta, lambdas, length=None, with_sdp=True, workers=1):
             rows = list(pool.map(measure_point, *inputs, chunksize=8))
     else:
         rows = list(map(measure_point, *inputs))
-    columns = {key: np.array([r[key] for r in rows]) for key in POINT_COLUMNS}
-    columns["status"] = [r["status"] for r in rows]
-    return SweepTable(
-        lambdas=lambdas, columns=columns, gamma=gamma, alpha=alpha, beta=beta,
-        length=length,
-    )
+    return SweepTable.from_rows(lambdas, rows, gamma, alpha, beta, length)
 
 
 def derivative(table, column):
@@ -238,24 +246,65 @@ def fit_drift_exponent(scans):
     return _fit(x, y)
 
 
+def _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp):
+    """The table of a run of consecutive `lattice` points around its centre.
+
+    The run starts FINE_RUN_STEPS points either side of the centre.  While
+    the derivative minimum of the run lacks two central-difference
+    neighbours on one side, the run grows to FINE_RUN_STEPS points beyond
+    that minimum, unless it already reaches the lattice end on that side.
+    Each point is measured once, in this process.
+    """
+    rows = {}
+    last = len(lattice) - 1
+    center = last // 2
+    lo, hi = max(center - FINE_RUN_STEPS, 0), min(center + FINE_RUN_STEPS, last)
+    while True:
+        for k in range(lo, hi + 1):
+            if k not in rows:
+                rows[k] = measure_point(lattice[k], gamma, alpha, beta, length,
+                                        with_sdp=with_sdp)
+        table = SweepTable.from_rows(lattice[lo:hi + 1],
+                                     [rows[k] for k in range(lo, hi + 1)],
+                                     gamma, alpha, beta, length)
+        i = int(np.argmin(_converged_derivative(table, column)))
+        if i < 2 and lo > 0:
+            lo = max(lo + i - FINE_RUN_STEPS, 0)
+        elif i > hi - lo - 2 and hi < last:
+            hi = min(lo + i + FINE_RUN_STEPS, last)
+        else:
+            return table
+
+
 def scan_pseudo_critical(gamma, alpha, beta, length, column,
                          coarse=(0.90, 1.05, 1e-3), workers=1):
     """Cascaded scans for the derivative minimum of one measure at finite L.
 
-    The coarse grid is the caller's.  Each fine stage re-scans the window
-    lambda_m ± FINE_HALFWIDTH_STEPS × (the step of the stage before it)
-    around the previous minimum, at its own step: 1e-4, then 1e-5 from
-    L >= 300, then 1e-6 from L >= 1000.  The dip narrows like 1/L, so longer
-    chains earn extra stages; SDP-backed columns stop at 1e-5 where solver
-    noise on the numerical derivative starts to matter.  A stage whose step
-    is not finer than the step before it is skipped.
+    The coarse grid is the caller's, swept with `workers` processes.  Each
+    fine stage works on the lattice lambda_m ± FINE_HALFWIDTH_STEPS × (the
+    step of the stage before it) around the previous minimum, at its own
+    step: 1e-4, then 1e-5 from L >= 300, then 1e-6 from L >= 1000.  The dip
+    narrows like 1/L, so longer chains earn extra stages; SDP-backed columns
+    stop at 1e-5 where solver noise on the numerical derivative starts to
+    matter.  A stage whose step is not finer than the step before it is
+    skipped.
+
+    A fine stage does not sweep its whole lattice.  It measures the
+    2 × FINE_RUN_STEPS + 1 lattice points around its centre and grows that
+    run towards the derivative minimum until the minimum has two
+    central-difference neighbours on each side, which the parabolic fit of
+    `pseudo_critical` reads, or the run reaches the lattice end.  Those few
+    points run in this process whatever `workers` is.  Every lambda measured
+    is a point of the stage's lattice, and the fit reads the same five
+    points as on a sweep of the whole lattice wherever that lattice holds
+    one derivative minimum.
 
     Between stages the minimum moves by a fraction of the previous step: at
     most 0.067 of it over the criterion-3/4 scans (gamma = 1, L = 41..2701),
     0.19 at gamma = 0.5, 0.57 at gamma = 0.2 and 1.07 at gamma = 0.1.  A
-    fine-stage WindowError therefore means the stage before did not resolve
-    the dip (its minimum moved by two of its steps or more), not that the
-    caller's window is too narrow.
+    fine-stage WindowError (the minimum at the lattice end) therefore means
+    the stage before did not resolve the dip (its minimum moved by two of its
+    steps or more), not that the caller's window is too narrow.
     """
     if length is None:
         raise ValueError("an infinite chain has no pseudo-critical point; give a length")
@@ -276,11 +325,11 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
             continue
         center = scan.lambda_m
         halfwidth = FINE_HALFWIDTH_STEPS * previous
-        tbl = sweep(gamma, alpha, beta,
-                    grid(center - halfwidth, center + halfwidth, step),
-                    length=length, with_sdp=with_sdp, workers=workers)
+        lattice = grid(center - halfwidth, center + halfwidth, step)
         try:
-            scan = pseudo_critical(tbl, column)
+            scan = pseudo_critical(
+                _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp),
+                column)
         except WindowError as err:
             raise WindowError(
                 f"fine stage at step {step:g} (window lambda={center:.9f} ± "

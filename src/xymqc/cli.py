@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import __version__, analysis, edsim
+from . import __version__, analysis, edsim, measures
 from .xychain import (
     ModelParams,
     SpinGeometry,
@@ -268,7 +268,15 @@ def cmd_verify(args):
     geoms = [SpinGeometry(alpha, beta)
              for alpha in range(1, args.length) for beta in range(1, args.length - alpha)]
     rho_a = rdm3_many(geoms, params)
-    rho_e = edsim.reduced_states(state, [[0, g.alpha, g.span] for g in geoms], args.length)
+    # the ED state is dihedral-even, so rho(beta, alpha) is rho(alpha, beta)
+    # with qubits 0 and 2 swapped: trace out only the geometries alpha <= beta
+    pairs = [(g.alpha, g.beta) for g in geoms]
+    traced = [(a, b) for a, b in pairs if a <= b]
+    slot = {ab: i for i, ab in enumerate(traced)}
+    half = edsim.reduced_states(state, [[0, a, a + b] for a, b in traced], args.length)
+    mirrored = half.reshape(-1, 64)[:, measures._MIRROR].reshape(half.shape)
+    rho_e = np.stack([half[slot[a, b]] if a <= b else mirrored[slot[b, a]]
+                      for a, b in pairs])
     dev = np.max(np.abs(rho_a - rho_e), axis=(1, 2))
     k = int(np.argmax(dev))
     worst, worst_geom = float(dev[k]), (geoms[k].alpha, geoms[k].beta)

@@ -7,9 +7,8 @@ ground state (the package diagonalizes only the symmetric states of one
 parity sector), the spin-parity diagonal, and a feasibility and
 optimality audit of an E_kappa solution on full 8x8 matrices, built on
 `linalg.partial_transpose` (the solver gathers through index tables), and
-the pseudo-critical cascade with the fixed wide fine windows that
-`analysis.scan_pseudo_critical` used before its windows shrank to two
-steps of the stage before.
+the pseudo-critical cascade that sweeps every point of each fine window,
+the old fixed wide windows by default.
 """
 
 from dataclasses import dataclass
@@ -163,23 +162,27 @@ def verify_solution(rho, center, solution):
 
 
 def wide_window_scan(gamma, alpha, beta, length, column,
-                     coarse=(0.90, 1.05, 1e-3), workers=1):
+                     coarse=(0.90, 1.05, 1e-3), workers=1,
+                     halfwidths=(6e-3, 8e-4, 8e-5)):
     """Cascaded scans for the derivative minimum of one measure at finite L.
 
-    Each stage re-scans a narrower window around the previous minimum with
-    a finer grid.  The dip narrows like 1/L, so longer chains earn extra
-    stages; SDP-backed columns stop at 1e-5 where solver noise on the
-    numerical derivative starts to matter.
+    Each stage sweeps the whole window previous minimum ± its halfwidth
+    with a finer grid.  The dip narrows like 1/L, so longer chains earn
+    extra stages; SDP-backed columns stop at 1e-5 where solver noise on the
+    numerical derivative starts to matter.  The default halfwidths are the
+    old fixed windows; (2e-3, 2e-4, 2e-5) sweeps every point of the
+    lattices that `analysis.scan_pseudo_critical` grows its runs on from a
+    coarse step of 1e-3.
     """
     with_sdp = column in SDP_COLUMNS
     tbl = sweep(gamma, alpha, beta, grid(*coarse), length=length,
                 with_sdp=with_sdp, workers=workers)
     scan = pseudo_critical(tbl, column)
-    stages = [(1e-4, 6e-3)]
+    stages = [(1e-4, halfwidths[0])]
     if length >= 300:
-        stages.append((1e-5, 8e-4))
+        stages.append((1e-5, halfwidths[1]))
     if length >= 1000 and not with_sdp:
-        stages.append((1e-6, 8e-5))
+        stages.append((1e-6, halfwidths[2]))
     for fine_step, halfwidth in stages:
         center = scan.lambda_m
         tbl = sweep(gamma, alpha, beta,

@@ -204,11 +204,81 @@ class TestScanPseudoCritical:
         assert abs(scan.lambda_m - wide.lambda_m) <= 1e-8
         assert abs(scan.min_derivative - wide.min_derivative) <= 1e-8
 
-    @pytest.mark.parametrize("length, expected", [(2701, 274), (401, 233), (41, 192)])
+    @pytest.mark.parametrize("gamma, alpha, beta, length, column, coarse", [
+        (1.0, 2, 1, 1001, "n3", (0.90, 1.05, 1e-3)),
+        (1.0, 1, 1, 401, "t3", (0.90, 1.05, 1e-3)),
+        (1.0, 1, 1, 1001, "tau_lb", (0.90, 1.05, 1e-3)),
+        (0.1, 2, 2, 1001, "t3", (0.90, 1.05, 1e-3)),
+        (0.1, 1, 1, 1001, "tau_lb", (0.90, 1.05, 1e-3)),
+        (0.2, 2, 1, 2701, "tau_lb", (0.90, 1.05, 1e-3)),
+        # the fss_n3 benchmark scan at three sub-step coarse offsets
+        (1.0, 2, 1, 2701, "n3", (0.90017, 1.05017, 1e-3)),
+        (1.0, 2, 1, 2701, "n3", (0.90043, 1.05043, 1e-3)),
+        (1.0, 2, 1, 2701, "n3", (0.90089, 1.05089, 1e-3)),
+    ])
+    def test_matches_full_lattice_sweeps(self, gamma, alpha, beta, length, column,
+                                         coarse):
+        # halfwidths of FINE_HALFWIDTH_STEPS steps of the stage before sweep
+        # each fine stage's whole lattice, where the scan measures a run of it;
+        # only the spacing of the run's first two points may differ by an ulp
+        args = (gamma, alpha, beta, length, column, coarse)
+        scan = analysis.scan_pseudo_critical(*args)
+        full = wide_window_scan(*args, halfwidths=(2e-3, 2e-4, 2e-5))
+        assert scan.lambda_m == full.lambda_m
+        assert abs(scan.min_derivative - full.min_derivative) <= 1e-9
+
+    @pytest.mark.parametrize("length, expected", [(2701, 172), (401, 165), (41, 158)])
     def test_point_count(self, calls, length, expected):
-        # 151 coarse points, then 41 per fine stage
+        # 151 coarse points, then the 7 around each fine stage's centre
         analysis.scan_pseudo_critical(1.0, 2, 1, length, "n3")
         assert calls[0] == expected
+
+    @pytest.mark.parametrize("gamma, alpha, beta, column", [
+        (1.0, 2, 1, "n3"),
+        # its first fine run grows: the minimum moves by a coarse step
+        (0.1, 2, 2, "t3"),
+    ])
+    def test_fine_points_lie_on_their_lattice_once(self, monkeypatch, gamma, alpha,
+                                                    beta, column):
+        measured, scans, marks = [], [], []
+        real_point, real_scan = analysis.measure_point, analysis.pseudo_critical
+
+        def recording_point(lam, *args, **kwargs):
+            measured.append(lam)
+            return real_point(lam, *args, **kwargs)
+
+        def recording_scan(table, column):
+            marks.append(len(measured))
+            scans.append(real_scan(table, column))
+            return scans[-1]
+
+        monkeypatch.setattr(analysis, "measure_point", recording_point)
+        monkeypatch.setattr(analysis, "pseudo_critical", recording_scan)
+        analysis.scan_pseudo_critical(gamma, alpha, beta, 1001, column)
+        assert marks[0] == 151 and len(marks) == 4
+        previous = 1e-3
+        for stage, step in enumerate((1e-4, 1e-5, 1e-6)):
+            center = scans[stage].lambda_m
+            half = analysis.FINE_HALFWIDTH_STEPS * previous
+            lattice = analysis.grid(center - half, center + half, step)
+            points = measured[marks[stage]:marks[stage + 1]]
+            assert len(points) >= 2 * analysis.FINE_RUN_STEPS + 1
+            assert len(set(points)) == len(points)
+            assert np.all(np.isin(points, lattice))
+            previous = step
+
+    def test_kinked_t3_raises_at_the_fine_lattice_edge(self):
+        # gamma = 0.05: the clamp of t3 engages just below lambda_c, and its
+        # kink draws the derivative minimum out of the 1e-6 lattice
+        with pytest.raises(WindowError, match="fine stage at step 1e-06") as err:
+            analysis.scan_pseudo_critical(0.05, 2, 2, 1001, "t3")
+        assert "window lambda=0.998662882" in str(err.value)
+        assert isinstance(err.value.__cause__, WindowError)
+        assert "window edge" in str(err.value.__cause__)
+
+    def test_two_workers_give_the_serial_scan(self):
+        serial = analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3")
+        assert analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3", workers=2) == serial
 
     def test_fine_coarse_grid_runs_no_fine_stage(self, calls):
         coarse = (1.003, 1.009, 1e-5)

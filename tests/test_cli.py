@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from xymqc import cli, edsim, xychain
+from xymqc import cli, edsim, measures, xychain
 
 ENV = dict(os.environ, SOURCE_DATE_EPOCH="1700000000")
 GEOM = ["--alpha", "1", "--beta", "1", "--gamma", "0.5", "--infinite"]
@@ -204,19 +204,32 @@ class TestVerify:
         assert "FAIL" in res.stdout
 
     def test_zero_deviation_names_a_geometry(self, monkeypatch, capsys):
-        # ED states equal to the analytic ones: every deviation is exactly 0
+        # ED states equal to the analytic ones: every deviation is exactly 0.
+        # verify takes the ED states of alpha > beta as mirror images, so the
+        # analytic stack holds mirror images there too
         analytic = {}
 
-        def keep(geoms, params):
-            analytic["stack"] = xychain.rdm3_many(geoms, params)
-            return analytic["stack"]
+        def mirror_even(geoms, params):
+            stack = xychain.rdm3_many(geoms, params).copy()
+            index = {(g.alpha, g.beta): k for k, g in enumerate(geoms)}
+            for (a, b), k in index.items():
+                if a > b:
+                    stack[k] = stack[index[b, a]].reshape(64)[measures._MIRROR].reshape(8, 8)
+            analytic.update(zip(index, stack))
+            return stack
 
-        monkeypatch.setattr(cli, "rdm3_many", keep)
-        monkeypatch.setattr(edsim, "reduced_states", lambda *args: analytic["stack"])
+        def traced(state, site_lists, length):
+            traced.geoms = [(a, span - a) for _, a, span in site_lists]
+            return np.stack([analytic[geom] for geom in traced.geoms])
+
+        monkeypatch.setattr(cli, "rdm3_many", mirror_even)
+        monkeypatch.setattr(edsim, "reduced_states", traced)
         assert cli.main(["verify", "--L", "7", "--lambda", "0.7", "--gamma", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "worst rdm3 deviation  0.000e+00 at m=(1, 1)" in out
         assert "verify: PASS" in out
+        # 9 of the 15 geometries at L = 7 have alpha <= beta
+        assert len(traced.geoms) == 9 and all(a <= b for a, b in traced.geoms)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_degenerate_reference_level_is_a_compute_error(self, threads):
