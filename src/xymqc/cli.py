@@ -275,8 +275,8 @@ def cmd_verify(args):
     slot = {ab: i for i, ab in enumerate(traced)}
     half = edsim.reduced_states(state, [[0, a, a + b] for a, b in traced], args.length)
     mirrored = half.reshape(-1, 64)[:, measures._MIRROR].reshape(half.shape)
-    rho_e = np.stack([half[slot[a, b]] if a <= b else mirrored[slot[b, a]]
-                      for a, b in pairs])
+    pick = [slot[a, b] if a <= b else len(traced) + slot[b, a] for a, b in pairs]
+    rho_e = np.concatenate([half, mirrored])[pick]
     dev = np.max(np.abs(rho_a - rho_e), axis=(1, 2))
     k = int(np.argmax(dev))
     worst, worst_geom = float(dev[k]), (geoms[k].alpha, geoms[k].beta)

@@ -18,13 +18,24 @@ which the symmetries, permuting basis states and commuting with H, must fix.
 For gamma = 0 each fixed-magnetization block is connected and mapped to
 itself by the symmetries, so the same holds block by block, and for
 lambda = 0 the lowest sector state is the single basis state |1...1>.  So the
-sector's lowest level always has an eigenvector in the subspace, and a
-degeneracy of that level between blocks shows up inside it too.
+sector's lowest level always has an eigenvector in the subspace, nonnegative
+in the orbit basis, and a degeneracy of that level between blocks shows up
+inside it too.
+
+How the level is found: the free-fermion energy (`dispersion_ground_energy`)
+is the sector's lowest level, so it seeds a Rayleigh-quotient iteration
+started from the uniform positive vector, which converges in one solve on
+most inputs.  What comes out is not trusted: one Cholesky factorization proves
+that no other level lies within DEGENERACY_TOL of it or below it
+(`_certified_lowest`).  Where the proof fails (a degenerate level, or a seed
+that led elsewhere) one dense `eigh` of the block decides, so the seed sets
+only the speed, never the result.
 
 Site 0 is the most significant bit of the basis index; |0> is sigma_z = +1.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +44,7 @@ from .linalg import DensityMatrix, validate_density
 
 LENGTHS = (5, 7, 9, 11, 13)
 DEGENERACY_TOL = 1e-9
+_MAX_SOLVES = 5
 
 
 def _popcount(length):
@@ -87,10 +99,11 @@ def _sector(length):
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """H of an L-site chain on the dihedral-even states of its (-1)^L
-    parity sector, one row per orbit of basis states."""
+    """H of an L-site chain at `params` on the dihedral-even states of its
+    (-1)^L parity sector, one row per orbit of basis states."""
 
     length: int
+    params: object  # the xychain.ModelParams of the matrix
     matrix: np.ndarray
 
 
@@ -101,30 +114,87 @@ def build_hamiltonian(length, params):
         raise ValueError(f"length must be one of {LENGTHS}, got {length}")
     *_, field, hopping, pairing = _sector(length)
     lam = params.lam
-    return SectorHamiltonian(length, field - lam * hopping - (lam * params.gamma) * pairing)
+    return SectorHamiltonian(length, params,
+                             field - lam * hopping - (lam * params.gamma) * pairing)
+
+
+def _certified_lowest(h, sigma):
+    """(level, unit vector) of the lowest level of the symmetric h, proven
+    nondegenerate, or None when no proof comes out.
+
+    Rayleigh-quotient iteration from the shift sigma and the uniform vector
+    stops once the residual eps = |h x - theta x| of theta = x^T h x is at
+    rounding level.  Some level then lies within eps of theta.  A Cholesky
+    factorization of h - mu I + c x x^T, mu = theta + eps + DEGENERACY_TOL
+    plus rounding slack, c = 2 |h|_inf, proves that matrix positive definite,
+    and a positive rank-one term lifts no level past the next one
+    (Courant-Fischer), so the second level of h lies above mu: the level
+    within eps of theta is the lowest, and the gap exceeds DEGENERACY_TOL
+    (B. N. Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4, 10).
+    """
+    n = len(h)
+    scale = float(np.max(np.sum(np.abs(h), axis=1)))  # |h|_inf bounds every level
+    slack = n * np.finfo(float).eps * scale
+    x = np.full(n, n ** -0.5)
+    for _ in range(_MAX_SOLVES):
+        # a shift goes on the diagonal (stride n + 1) of one copy: at L = 13,
+        # h - sigma * np.eye(n) costs about ten times as much
+        shifted = h.copy()
+        shifted.flat[:: n + 1] -= sigma
+        try:
+            y = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:  # sigma is exactly a level (diagonal h)
+            sigma -= slack
+            continue
+        x = y / np.linalg.norm(y)
+        hx = h @ x
+        theta = float(x @ hx)
+        eps = float(np.linalg.norm(hx - theta * x))
+        if eps <= slack:
+            break
+        sigma = theta
+    else:
+        return None
+    lifted = np.outer(x, 2.0 * scale * x)
+    lifted += h
+    lifted.flat[:: n + 1] -= theta + eps + DEGENERACY_TOL + slack
+    try:
+        np.linalg.cholesky(lifted)
+    except np.linalg.LinAlgError:
+        return None
+    return theta, x
 
 
 def reference_state(ham):
     """(energy, state) of the lowest eigenstate of the prod sigma_z = (-1)^L
     sector, the one the analytic correlators describe, as a real normalised
-    2^L vector.
+    2^L vector signed to a positive sum.
 
-    One dense `eigh` of the block on the translation- and reflection-even
-    states (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), whose lowest vector
-    is spread evenly over each orbit.  H has no positive off-diagonal entry,
-    so by Perron-Frobenius the sector's lowest level has an eigenvector in
-    that subspace (module docstring).  Two lowest block levels within
-    DEGENERACY_TOL leave the state undetermined and raise ValueError.
+    The pair is the lowest of the block on the translation- and
+    reflection-even states (Sandvik, AIP Conf. Proc. 1297, 135 (2010)),
+    whose lowest vector is spread evenly over each orbit (module docstring).
+    Rayleigh-quotient solves seeded by the free-fermion energy find it, and
+    one Cholesky factorization proves it lowest and nondegenerate
+    (`_certified_lowest`).  Without that proof (a degenerate level, a seed
+    that led to another level, no convergence) one dense `eigh` of the block
+    decides, so the seed changes only the speed, never the result.  Two
+    lowest block levels within DEGENERACY_TOL leave the state undetermined
+    and raise ValueError.
     """
-    w, v = np.linalg.eigh(ham.matrix)
-    if w[1] - w[0] < DEGENERACY_TOL:
-        raise ValueError(f"the lowest level of the L={ham.length} sector is degenerate: "
-                         f"gap {w[1] - w[0]:.3e} < {DEGENERACY_TOL:g}, so its state is not unique")
+    pair = _certified_lowest(ham.matrix, dispersion_ground_energy(ham.length, ham.params))
+    if pair is None:
+        w, v = np.linalg.eigh(ham.matrix)
+        if w[1] - w[0] < DEGENERACY_TOL:
+            raise ValueError(
+                f"the lowest level of the L={ham.length} sector is degenerate: "
+                f"gap {w[1] - w[0]:.3e} < {DEGENERACY_TOL:g}, so its state is not unique")
+        pair = w[0], v[:, 0]
+    energy, vector = pair
     states, orbit, amplitude, *_ = _sector(ham.length)
     state = np.zeros(1 << ham.length)
-    state[states] = v[orbit, 0] * amplitude
-    state /= np.linalg.norm(state)
-    return float(w[0]), state
+    state[states] = vector[orbit] * amplitude
+    state /= math.copysign(np.linalg.norm(state), state.sum())
+    return float(energy), state
 
 
 def reduced_states(state, site_lists, length):

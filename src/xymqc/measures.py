@@ -123,14 +123,14 @@ def eof_from_concurrence(c):
 
 
 def _ef_bound(lam):
-    """Chen-Albeverio-Fei E_f bound from the larger trace norm `lam`."""
+    """Chen-Albeverio-Fei E_f bound from the larger trace norm `lam`: the
+    Wootters E_f of concurrence lam - 1, 0 for lam <= 1."""
     if lam > 2.0 + 1e-9:
         raise ValueError(f"trace-norm bound {lam:.6f} outside [1, 2]")
     lam = min(lam, 2.0)
     if lam <= 1.0:
         return 0.0
-    gamma = 1.0 - (lam - 1.0) ** 2
-    return binary_entropy(0.5 * (1.0 + np.sqrt(max(0.0, gamma))))
+    return eof_from_concurrence(lam - 1.0)
 
 
 def _permute_to_front(rho, dims, part):

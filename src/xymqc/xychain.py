@@ -299,21 +299,30 @@ def _wick_table(geoms):
     determinants at every (alpha, beta) of the tuple `geoms`.
 
     Every matrix reads one lag vector g(-rmax..rmax), rmax being the largest
-    span.  The matrices are grouped by size: taking sizes from the largest
-    down, all matrices of a size join the open group, and a group closes once
-    it holds more than 19 matrices.  One geometry (19 matrices) is thus one
-    group, and a `verify` stack one group per size, whose padded LU work
-    equals the matrices' own.  Each group is a (k, size, size) index stack
-    padded to its largest size, for one `np.linalg.det` call; `order` takes
-    the concatenated determinants back to string order, and the signs have
-    shape (n, 19).  Indices are held in the smallest unsigned dtype that
-    reaches 2 * rmax + 2 (one byte up to rmax = 126), which numpy widens as
-    it gathers.
+    span.  A matrix depends only on the lags b_j - a_i, so the (A, B) lists
+    shifted to start at 0 key it, and each distinct key is one matrix (499
+    for the 1254 strings of the L = 13 `verify` stack).  The matrices are
+    grouped by size: taking sizes from the largest down, all matrices of a
+    size join the open group, and a group closes once it holds more than 19
+    matrices.  One geometry is thus one group, and a `verify` stack one group
+    per size, whose padded LU work equals the matrices' own.  Each group is a
+    (k, size, size) index stack padded to its largest size, for one
+    `np.linalg.det` call; `order` takes the concatenated determinants to
+    string order, and the signs have shape (n, 19).  Indices are held in the
+    smallest unsigned dtype that reaches 2 * rmax + 2 (one byte up to
+    rmax = 126), which numpy widens as it gathers.
     """
     rmax = max(alpha + beta for alpha, beta in geoms)
     lists = [_wick_lists(string, (-alpha, 0, beta))
              for alpha, beta in geoms for string in _STRINGS]
-    sizes = [len(a) for a, _, _ in lists]
+    keys = {}  # shifted (A, B) -> index of its distinct matrix
+    matrix_of = []
+    for a, b, _ in lists:
+        shift = min(a[:1] + b[:1], default=0)
+        key = (tuple(s - shift for s in a), tuple(s - shift for s in b))
+        matrix_of.append(keys.setdefault(key, len(keys)))
+    distinct = list(keys)
+    sizes = [len(a) for a, _ in distinct]
     groups, members = [], []
     for size in sorted(set(sizes), reverse=True):
         members += [k for k, s in enumerate(sizes) if s == size]
@@ -324,11 +333,11 @@ def _wick_table(geoms):
         groups.append(members)
     dtype = np.min_scalar_type(2 * rmax + 2)
     stacks = tuple(
-        np.array([_wick_index(*lists[k][:2], sizes[group[0]], rmax) for k in group],
+        np.array([_wick_index(*distinct[k], sizes[group[0]], rmax) for k in group],
                  dtype=dtype)
         for group in groups
     )
-    order = np.argsort(np.concatenate(groups))
+    order = np.argsort(np.concatenate(groups))[matrix_of]
     signs = np.array([sign for _, _, sign in lists]).reshape(len(geoms), len(_STRINGS))
     for a in (*stacks, order, signs):
         a.flags.writeable = False

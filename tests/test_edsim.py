@@ -329,3 +329,89 @@ def test_rdm3_matches_ed_every_geometry(gamma):
                 rho_ed = edsim.reduced_state(state, [0, alpha, alpha + beta], 9)
                 rho_an = rdm3(SpinGeometry(alpha, beta), params)
                 assert np.max(np.abs(rho_ed.matrix - rho_an.matrix)) <= 1e-12, (lam, alpha, beta)
+
+
+def dense_reference(ham):
+    """(energy, state, gap) from one dense `eigh` of the sector block, the
+    state built over the orbits and signed to a positive sum."""
+    w, v = np.linalg.eigh(ham.matrix)
+    states, orbit, amplitude, *_ = edsim._sector(ham.length)
+    state = np.zeros(1 << ham.length)
+    state[states] = v[orbit, 0] * amplitude
+    state /= np.linalg.norm(state) * np.sign(state.sum())
+    return w[0], state, w[1] - w[0]
+
+
+CERTIFICATE_GRID = [(length, lam, gamma) for length in edsim.LENGTHS
+                    for lam in np.round(np.arange(26) * 0.1, 10)
+                    for gamma in (0.0, 0.05, 0.2, 0.5, 1.0)]
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+class TestCertifiedReference:
+    def test_matches_dense_eigh_on_grid(self, monkeypatch):
+        # 650 cases, each certified without a dense `eigh` but the one
+        # degenerate level (L=9, lambda=2, gamma=0, a zero mode of
+        # 1 + lambda cos(2 pi 3/9)), which falls back to it and raises
+        calls = count_eigh(monkeypatch)
+        degenerate = []
+        for length, lam, gamma in CERTIFICATE_GRID:
+            ham = edsim.build_hamiltonian(length, ModelParams(lam, gamma, length))
+            energy, state, gap = dense_reference(ham)
+            calls.clear()
+            if gap < edsim.DEGENERACY_TOL:
+                degenerate.append((length, lam, gamma))
+                with pytest.raises(ValueError, match="degenerate"):
+                    edsim.reference_state(ham)
+                assert calls == [len(ham.matrix)]
+                continue
+            got_energy, got_state = edsim.reference_state(ham)
+            assert calls == [], (length, lam, gamma)
+            assert abs(got_energy - energy) <= 1e-12, (length, lam, gamma)
+            assert np.max(np.abs(got_state - state)) <= 1e-12, (length, lam, gamma)
+        assert degenerate == [(9, 2.0, 0.0)]
+
+    @pytest.mark.parametrize("length,lam,gamma,seed", [
+        (11, 0.7, 0.5, "first excited"), (13, 1.5, 0.2, "first excited"),
+        (13, 2.0, 1.0, "top"), (11, 0.5, 0.5, "w0 - 5"), (9, 1.0, 0.2, "w0 - 5"),
+    ])
+    def test_wrong_seed_falls_back_to_dense(self, monkeypatch, length, lam, gamma, seed):
+        # a shift that leads the iteration to another level, or leaves it short
+        # of convergence, changes the path, never the result
+        ham = edsim.build_hamiltonian(length, ModelParams(lam, gamma, length))
+        energy, state, _ = dense_reference(ham)
+        w = np.linalg.eigvalsh(ham.matrix)
+        shift = {"first excited": w[1], "top": w[-1], "w0 - 5": w[0] - 5.0}[seed]
+        monkeypatch.setattr(edsim, "dispersion_ground_energy", lambda *_: shift)
+        calls = count_eigh(monkeypatch)
+        got_energy, got_state = edsim.reference_state(ham)
+        assert calls == [len(ham.matrix)]
+        assert abs(got_energy - energy) <= 1e-12
+        assert np.max(np.abs(got_state - state)) <= 1e-12
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-10, 9e-10])
+    def test_degenerate_level_is_never_certified(self, gap):
+        # a random rotation of known levels, the lowest two within
+        # DEGENERACY_TOL, from shifts below, at and between them
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        levels = np.concatenate([[-3.0, -3.0 + gap], rng.uniform(-2.0, 4.0, 58)])
+        h = q @ np.diag(levels) @ q.T
+        h = 0.5 * (h + h.T)
+        for sigma in (-3.5, -3.0, -3.0 + gap / 2, -2.9):
+            assert edsim._certified_lowest(h, sigma) is None
+        levels[1] = -3.0 + 1e-6
+        h = q @ np.diag(levels) @ q.T
+        energy, x = edsim._certified_lowest(0.5 * (h + h.T), -3.0)
+        assert abs(energy + 3.0) <= 1e-12 and 1.0 - abs(x @ q[:, 0]) <= 1e-12

@@ -541,12 +541,39 @@ class TestWickGroups:
 
     @pytest.mark.parametrize("length", [11, 13])
     def test_padded_work_near_own_work(self, length):
-        # sum of size^3 over the LU factorizations, as padded and as needed
+        # one matrix per distinct lag pattern b_j - a_i (of 855 and 1254
+        # strings); sum of size^3 over the LU factorizations, as padded and
+        # as needed
         lists, (stacks, _, _, _) = verify_table(length)
+        lags = {(len(a), tuple(np.subtract.outer(b, a).ravel())) for a, b, _ in lists}
+        distinct = {11: 346, 13: 499}[length]
+        assert len(lags) == distinct
         padded = sum(len(index) * index.shape[-1] ** 3 for index in stacks)
-        own = sum(len(a) ** 3 for a, _, _ in lists)
+        own = sum(size ** 3 for size, _ in lags)
         assert padded <= 1.5 * own
-        assert sum(len(index) for index in stacks) == len(lists)
+        assert sum(len(index) for index in stacks) == distinct
+
+    @pytest.mark.parametrize("length", [11, 13])
+    def test_verify_stack_matches_single_geometries(self, length):
+        geoms = verify_geometries(length)
+        for lam, gamma in ((0.7, 0.5), (1.3, 0.2), (1.0, 1.0)):
+            params = ModelParams(lam, gamma, length)
+            single = np.stack([rdm3(geom, params).matrix for geom in geoms])
+            assert np.max(np.abs(rdm3_many(geoms, params) - single)) <= 1e-15
+
+    @pytest.mark.parametrize("geom", [(1, 1), (4, 3), (2, 9)])
+    def test_one_geometry_is_one_group_of_its_own_dets(self, geom):
+        # repeated lag patterns (ZII, IZI and IIZ share one) leave a single
+        # geometry one padded stack, whose determinants are those of all 19
+        # matrices padded to the largest size
+        (index,), order, _, rmax = xychain._wick_table((geom,))
+        lists = [xychain._wick_lists(string, (-geom[0], 0, geom[1]))
+                 for string in xychain._STRINGS]
+        size = max(len(a) for a, _, _ in lists)
+        assert index.shape[-1] == size and len(index) < len(lists)
+        padded = np.array([_wick_index(a, b, size, rmax) for a, b, _ in lists])
+        gv = correlators(ModelParams(1.1, 0.5, 41), rmax)
+        assert np.array_equal(_wick_dets(gv, [index])[order], _wick_dets(gv, [padded]))
 
     def test_groups_close_past_19_matrices(self):
         # sizes run from the largest down; every group but the last closes
