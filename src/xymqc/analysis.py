@@ -26,6 +26,9 @@ COLLAPSE_BINS = 20
 # bisection of a bound-entanglement window edge stop
 DIP_TOL = 1e-9
 EDGE_TOL = 5e-5
+# the coarse stage of `scan_pseudo_critical` first measures every this many
+# points of the caller's lattice
+COARSE_STRIDE = 10
 # a fine stage of `scan_pseudo_critical` spans this many steps of the stage
 # before it on each side of that stage's minimum
 FINE_HALFWIDTH_STEPS = 2
@@ -94,6 +97,10 @@ class SweepTable:
         columns["status"] = [r["status"] for r in rows]
         return cls(lambdas=lambdas, columns=columns, gamma=gamma, alpha=alpha,
                    beta=beta, length=length)
+
+    def row(self, i):
+        """The `measure_point` row of the table's i-th point."""
+        return {key: self.columns[key][i] for key in (*POINT_COLUMNS, "status")}
 
     @property
     def spacing(self):
@@ -246,18 +253,21 @@ def fit_drift_exponent(scans):
     return _fit(x, y)
 
 
-def _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp):
-    """The table of a run of consecutive `lattice` points around its centre.
+def _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp,
+              center=None, rows=None):
+    """The table of a run of consecutive `lattice` points around `center`.
 
-    The run starts FINE_RUN_STEPS points either side of the centre.  While
-    the derivative minimum of the run lacks two central-difference
-    neighbours on one side, the run grows to FINE_RUN_STEPS points beyond
-    that minimum, unless it already reaches the lattice end on that side.
-    Each point is measured once, in this process.
+    `center` is a lattice index, the middle of the lattice by default.  The
+    run starts FINE_RUN_STEPS points either side of it.  While the
+    derivative minimum of the run lacks two central-difference neighbours
+    on one side, the run grows to FINE_RUN_STEPS points beyond that
+    minimum, unless it already reaches the lattice end on that side.
+    `rows` maps lattice indices to `measure_point` rows taken before; every
+    other point is measured once, in this process.
     """
-    rows = {}
+    rows = {} if rows is None else rows
     last = len(lattice) - 1
-    center = last // 2
+    center = last // 2 if center is None else center
     lo, hi = max(center - FINE_RUN_STEPS, 0), min(center + FINE_RUN_STEPS, last)
     while True:
         for k in range(lo, hi + 1):
@@ -280,14 +290,28 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
                          coarse=(0.90, 1.05, 1e-3), workers=1):
     """Cascaded scans for the derivative minimum of one measure at finite L.
 
-    The coarse grid is the caller's, swept with `workers` processes.  Each
-    fine stage works on the lattice lambda_m ± FINE_HALFWIDTH_STEPS × (the
-    step of the stage before it) around the previous minimum, at its own
-    step: 1e-4, then 1e-5 from L >= 300, then 1e-6 from L >= 1000.  The dip
-    narrows like 1/L, so longer chains earn extra stages; SDP-backed columns
-    stop at 1e-5 where solver noise on the numerical derivative starts to
-    matter.  A stage whose step is not finer than the step before it is
-    skipped.
+    The coarse stage works on the caller's lattice `grid(*coarse)`.  It
+    sweeps every COARSE_STRIDE-th point of it, with `workers` processes;
+    that subsample sweep is the only work `workers` spreads.  A run of the
+    lattice then starts at the subsample's derivative minimum (at the
+    lattice's middle when the subsample holds fewer than 3 points) and grows
+    as a fine stage's run does.  The dip is a rounded logarithmic divergence
+    about 1/L wide, far wider than the coarse step, so the subsample's
+    minimum lies a few lattice points from the lattice's.  Where the
+    lattice holds more than one local minimum of the derivative, say at a
+    kink of a measure, the scan returns the one that the run reaches from
+    the subsample's minimum, the lattice minimum nearest to it, which need
+    not be the lowest.  A run that reaches the lattice end raises the
+    window-edge WindowError of `pseudo_critical`, as a dip outside the
+    caller's window should.
+
+    Each fine stage then works on the lattice lambda_m ± FINE_HALFWIDTH_STEPS
+    × (the step of the stage before it) around the previous minimum, at its
+    own step: 1e-4, then 1e-5 from L >= 300, then 1e-6 from L >= 1000.  The
+    dip narrows like 1/L, so longer chains earn extra stages; SDP-backed
+    columns stop at 1e-5 where solver noise on the numerical derivative
+    starts to matter.  A stage whose step is not finer than the step before
+    it is skipped.
 
     A fine stage does not sweep its whole lattice.  It measures the
     2 × FINE_RUN_STEPS + 1 lattice points around its centre and grows that
@@ -295,9 +319,9 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
     central-difference neighbours on each side, which the parabolic fit of
     `pseudo_critical` reads, or the run reaches the lattice end.  Those few
     points run in this process whatever `workers` is.  Every lambda measured
-    is a point of the stage's lattice, and the fit reads the same five
-    points as on a sweep of the whole lattice wherever that lattice holds
-    one derivative minimum.
+    is a point of the stage's lattice, measured once, and the fit reads the
+    same five points as on a sweep of the whole lattice wherever that
+    lattice holds one derivative minimum.
 
     Between stages the minimum moves by a fraction of the previous step: at
     most 0.067 of it over the criterion-3/4 scans (gamma = 1, L = 41..2701),
@@ -311,9 +335,18 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
     if column not in POINT_COLUMNS:
         raise ValueError(f"unknown column {column!r}; expected one of {POINT_COLUMNS}")
     with_sdp = column in SDP_COLUMNS
-    tbl = sweep(gamma, alpha, beta, grid(*coarse), length=length,
-                with_sdp=with_sdp, workers=workers)
-    scan = pseudo_critical(tbl, column)
+    lattice = grid(*coarse)
+    sample = sweep(gamma, alpha, beta, lattice[::COARSE_STRIDE], length=length,
+                   with_sdp=with_sdp, workers=workers)
+    center = None
+    if len(sample.lambdas) >= 3:
+        dips = _converged_derivative(sample, column)
+        center = COARSE_STRIDE * int(np.argmin(dips))
+    rows = {COARSE_STRIDE * j: sample.row(j) for j in range(len(sample.lambdas))}
+    scan = pseudo_critical(
+        _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp,
+                  center=center, rows=rows),
+        column)
     steps = [1e-4]
     if length >= 300:
         steps.append(1e-5)

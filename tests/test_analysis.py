@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -215,6 +216,8 @@ class TestScanPseudoCritical:
         (1.0, 2, 1, 2701, "n3", (0.90017, 1.05017, 1e-3)),
         (1.0, 2, 1, 2701, "n3", (0.90043, 1.05043, 1e-3)),
         (1.0, 2, 1, 2701, "n3", (0.90089, 1.05089, 1e-3)),
+        (0.5, 1, 1, 1001, "n3", (0.90031, 1.05031, 1e-3)),
+        (0.5, 2, 2, 401, "t3", (0.90067, 1.05067, 1e-3)),
     ])
     def test_matches_full_lattice_sweeps(self, gamma, alpha, beta, length, column,
                                          coarse):
@@ -227,9 +230,11 @@ class TestScanPseudoCritical:
         assert scan.lambda_m == full.lambda_m
         assert abs(scan.min_derivative - full.min_derivative) <= 1e-9
 
-    @pytest.mark.parametrize("length, expected", [(2701, 172), (401, 165), (41, 158)])
+    @pytest.mark.parametrize("length, expected", [(2701, 43), (401, 36), (41, 32)])
     def test_point_count(self, calls, length, expected):
-        # 151 coarse points, then the 7 around each fine stage's centre
+        # 16 of the 151 coarse points, the 6 others of the coarse run around
+        # their minimum, then the 7 around each fine stage's centre; at L = 41
+        # the coarse run grows by 3 points towards the lattice minimum
         analysis.scan_pseudo_critical(1.0, 2, 1, length, "n3")
         assert calls[0] == expected
 
@@ -255,7 +260,9 @@ class TestScanPseudoCritical:
         monkeypatch.setattr(analysis, "measure_point", recording_point)
         monkeypatch.setattr(analysis, "pseudo_critical", recording_scan)
         analysis.scan_pseudo_critical(gamma, alpha, beta, 1001, column)
-        assert marks[0] == 151 and len(marks) == 4
+        assert len(marks) == 4
+        assert np.all(np.isin(measured[:marks[0]], analysis.grid(0.90, 1.05, 1e-3)))
+        assert len(set(measured)) == len(measured)
         previous = 1e-3
         for stage, step in enumerate((1e-4, 1e-5, 1e-6)):
             center = scans[stage].lambda_m
@@ -283,9 +290,60 @@ class TestScanPseudoCritical:
     def test_fine_coarse_grid_runs_no_fine_stage(self, calls):
         coarse = (1.003, 1.009, 1e-5)
         scan = analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3", coarse=coarse)
-        assert calls[0] == len(analysis.grid(*coarse))
+        # 61 of the 601 lattice points, then the 9 others of a run grown
+        # towards the lattice minimum
+        assert calls[0] == 70
         table = sweep(1.0, 2, 1, analysis.grid(*coarse), length=41, with_sdp=False)
         assert scan == pseudo_critical(table, "n3")
+
+    def test_short_lattice_runs_from_its_middle(self, monkeypatch):
+        # 20 lattice points leave 2 in the subsample, too few for a derivative
+        coarse = (1.0052, 1.0071, 1e-4)
+        lattice = analysis.grid(*coarse)
+        measured = []
+        real = analysis.measure_point
+
+        def recording(lam, *args, **kwargs):
+            measured.append(lam)
+            return real(lam, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "measure_point", recording)
+        scan = analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3", coarse=coarse)
+        assert len(lattice) == 20 and measured[:2] == [lattice[0], lattice[10]]
+        # the run of the 7 points around index 9, less index 10 measured before
+        assert sorted(measured[2:8]) == [lattice[k] for k in (6, 7, 8, 9, 11, 12)]
+        monkeypatch.undo()
+        table = sweep(1.0, 2, 1, lattice, length=41, with_sdp=False)
+        assert scan == pseudo_critical(table, "n3")
+
+    def test_dip_outside_the_window_raises_at_its_edge(self):
+        with pytest.raises(WindowError) as err:
+            analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3", coarse=(0.90, 0.95, 1e-3))
+        assert str(err.value) == (
+            "derivative minimum of n3 sits at the window edge (lambda=0.950000); "
+            "widen the scan window")
+
+    def test_subsample_picks_the_nearest_lattice_minimum(self, monkeypatch):
+        # d(n3)/d(lambda) holds a broad dip at 0.95 and a deeper one at 1.005,
+        # narrower than the subsample's spacing of 1e-2 and between two of its
+        # points; the scan follows the broad dip that the subsample sees
+        def column(lam):
+            broad = 0.02 * math.erf((lam - 0.95) / 0.02)
+            narrow = 2.0 * 1.5e-3 * math.erf((lam - 1.005) / 1.5e-3)
+            return -0.5 * math.sqrt(math.pi) * (broad + narrow)
+
+        def synthetic(lam, *args, **kwargs):
+            row = dict.fromkeys(analysis.POINT_COLUMNS, 0.0)
+            row.update(n3=column(lam), status="ok")
+            return row
+
+        monkeypatch.setattr(analysis, "measure_point", synthetic)
+        scan = analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3")
+        assert abs(scan.lambda_m - 0.95) < 1e-6
+        assert abs(scan.min_derivative + 1.0) < 1e-3
+        lowest = pseudo_critical(sweep(1.0, 2, 1, analysis.grid(0.90, 1.05, 1e-3),
+                                       length=41), "n3")
+        assert abs(lowest.lambda_m - 1.005) < 1e-4
 
     def test_fine_stage_edge_names_the_stage(self, monkeypatch):
         # the coarse stage's minimum, moved by 5 of its steps
