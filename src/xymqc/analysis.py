@@ -85,22 +85,7 @@ class CriticalScan:
 class SweepTable:
     lambdas: np.ndarray
     columns: dict
-    gamma: float
-    alpha: int
-    beta: int
     length: int | None = None
-
-    @classmethod
-    def from_rows(cls, lambdas, rows, gamma, alpha, beta, length):
-        """The table of `measure_point` rows taken at `lambdas`, in order."""
-        columns = {key: np.array([r[key] for r in rows]) for key in POINT_COLUMNS}
-        columns["status"] = [r["status"] for r in rows]
-        return cls(lambdas=lambdas, columns=columns, gamma=gamma, alpha=alpha,
-                   beta=beta, length=length)
-
-    def row(self, i):
-        """The `measure_point` row of the table's i-th point."""
-        return {key: self.columns[key][i] for key in (*POINT_COLUMNS, "status")}
 
     @property
     def spacing(self):
@@ -110,11 +95,8 @@ class SweepTable:
         return float(diffs[0]) if len(diffs) else 0.0
 
     def require_converged(self):
-        """Raise NonConvergedPoint at the first row whose solves did not converge.
-
-        A table without a status column (no solver behind it) counts as
-        converged.
-        """
+        """Raise NonConvergedPoint at the first row whose solves did not
+        converge; a table without a status column (no solver) counts as converged."""
         for lam, status in zip(self.lambdas, self.columns.get("status", ())):
             if status != "ok":
                 raise NonConvergedPoint(lam, status)
@@ -167,32 +149,27 @@ def sweep(gamma, alpha, beta, lambdas, length=None, with_sdp=True, workers=1):
             rows = list(pool.map(measure_point, *inputs, chunksize=8))
     else:
         rows = list(map(measure_point, *inputs))
-    return SweepTable.from_rows(lambdas, rows, gamma, alpha, beta, length)
+    columns = {key: np.array([r[key] for r in rows]) for key in POINT_COLUMNS}
+    columns["status"] = [r["status"] for r in rows]
+    return SweepTable(lambdas, columns, length)
 
 
 def derivative(table, column):
-    """Add a central-difference derivative column d_<column> to the table."""
-    if len(table.lambdas) < 3:
-        raise WindowError("need at least 3 rows for a derivative")
-    h = table.spacing
-    table.columns["d_" + column] = np.gradient(
-        table.columns[column], h, edge_order=2
-    )
-    return table
-
-
-def _converged_derivative(table, column):
-    """d_<column> of a table whose solves all converged, added if missing."""
+    """The central-difference derivative column d_<column> of a table whose
+    solves all converged, added to the table if it is missing."""
     table.require_converged()
     name = "d_" + column
     if name not in table.columns:
-        derivative(table, column)
+        if len(table.lambdas) < 3:
+            raise WindowError("need at least 3 rows for a derivative")
+        table.columns[name] = np.gradient(table.columns[column], table.spacing,
+                                          edge_order=2)
     return table.columns[name]
 
 
 def pseudo_critical(table, column):
     """Locate the minimum of d_<column> by parabolic interpolation."""
-    y = _converged_derivative(table, column)
+    y = derivative(table, column)
     i = int(np.argmin(y))
     if i == 0 or i == len(y) - 1:
         raise WindowError(
@@ -225,7 +202,7 @@ def _fit(x, y):
 
 def fit_log_divergence(table, column, window=(3e-4, 3e-2), side="below"):
     """Fit d_<column> = a * ln|lambda - LAMBDA_C| + b on one side of LAMBDA_C."""
-    y = _converged_derivative(table, column)
+    y = derivative(table, column)
     dist = table.lambdas - LAMBDA_C
     mask = (np.abs(dist) >= window[0]) & (np.abs(dist) <= window[1])
     if side == "below":
@@ -254,30 +231,31 @@ def fit_drift_exponent(scans):
 
 
 def _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp,
-              center=None, rows=None):
-    """The table of a run of consecutive `lattice` points around `center`.
+              center=None, values=None):
+    """The one-column table of `column` over a run of consecutive `lattice`
+    points around `center`.
 
     `center` is a lattice index, the middle of the lattice by default.  The
     run starts FINE_RUN_STEPS points either side of it.  While the
     derivative minimum of the run lacks two central-difference neighbours
     on one side, the run grows to FINE_RUN_STEPS points beyond that
     minimum, unless it already reaches the lattice end on that side.
-    `rows` maps lattice indices to `measure_point` rows taken before; every
-    other point is measured once, in this process.
+    `values` maps lattice indices to the column's values measured before;
+    every other point is measured once, in this process, and raises
+    NonConvergedPoint where its solve fails.
     """
-    rows = {} if rows is None else rows
+    values = {} if values is None else values
     last = len(lattice) - 1
     center = last // 2 if center is None else center
     lo, hi = max(center - FINE_RUN_STEPS, 0), min(center + FINE_RUN_STEPS, last)
     while True:
         for k in range(lo, hi + 1):
-            if k not in rows:
-                rows[k] = measure_point(lattice[k], gamma, alpha, beta, length,
-                                        with_sdp=with_sdp)
-        table = SweepTable.from_rows(lattice[lo:hi + 1],
-                                     [rows[k] for k in range(lo, hi + 1)],
-                                     gamma, alpha, beta, length)
-        i = int(np.argmin(_converged_derivative(table, column)))
+            if k not in values:
+                values[k] = _converged_point(lattice[k], gamma, alpha, beta, length,
+                                             with_sdp)[column]
+        run = np.array([values[k] for k in range(lo, hi + 1)])
+        table = SweepTable(lattice[lo:hi + 1], {column: run}, length)
+        i = int(np.argmin(derivative(table, column)))
         if i < 2 and lo > 0:
             lo = max(lo + i - FINE_RUN_STEPS, 0)
         elif i > hi - lo - 2 and hi < last:
@@ -292,18 +270,20 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
 
     The coarse stage works on the caller's lattice `grid(*coarse)`.  It
     sweeps every COARSE_STRIDE-th point of it, with `workers` processes;
-    that subsample sweep is the only work `workers` spreads.  A run of the
-    lattice then starts at the subsample's derivative minimum (at the
-    lattice's middle when the subsample holds fewer than 3 points) and grows
-    as a fine stage's run does.  The dip is a rounded logarithmic divergence
-    about 1/L wide, far wider than the coarse step, so the subsample's
-    minimum lies a few lattice points from the lattice's.  Where the
-    lattice holds more than one local minimum of the derivative, say at a
-    kink of a measure, the scan returns the one that the run reaches from
-    the subsample's minimum, the lattice minimum nearest to it, which need
-    not be the lowest.  A run that reaches the lattice end raises the
-    window-edge WindowError of `pseudo_critical`, as a dip outside the
-    caller's window should.
+    that subsample sweep is the only work `workers` spreads.  A subsample
+    point whose solve failed raises NonConvergedPoint, whether or not a run
+    reaches it.  A run of the lattice then starts at the subsample's
+    derivative minimum (at the lattice's middle when the subsample holds
+    fewer than 3 points) and grows as a fine stage's run does, reusing the
+    subsample's values of `column`.  The dip is a rounded logarithmic
+    divergence about 1/L wide, far wider than the coarse step, so the
+    subsample's minimum lies a few lattice points from the lattice's.
+    Where the lattice holds more than one local minimum of the derivative,
+    say at a kink of a measure, the scan returns the one that the run
+    reaches from the subsample's minimum, the lattice minimum nearest to
+    it, which need not be the lowest.  A run that reaches the lattice end
+    raises the window-edge WindowError of `pseudo_critical`, as a dip
+    outside the caller's window should.
 
     Each fine stage then works on the lattice lambda_m ± FINE_HALFWIDTH_STEPS
     × (the step of the stage before it) around the previous minimum, at its
@@ -338,14 +318,14 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
     lattice = grid(*coarse)
     sample = sweep(gamma, alpha, beta, lattice[::COARSE_STRIDE], length=length,
                    with_sdp=with_sdp, workers=workers)
+    sample.require_converged()
     center = None
     if len(sample.lambdas) >= 3:
-        dips = _converged_derivative(sample, column)
-        center = COARSE_STRIDE * int(np.argmin(dips))
-    rows = {COARSE_STRIDE * j: sample.row(j) for j in range(len(sample.lambdas))}
+        center = COARSE_STRIDE * int(np.argmin(derivative(sample, column)))
+    values = dict(zip(range(0, len(lattice), COARSE_STRIDE), sample.columns[column]))
     scan = pseudo_critical(
         _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp,
-                  center=center, rows=rows),
+                  center=center, values=values),
         column)
     steps = [1e-4]
     if length >= 300:
@@ -390,7 +370,7 @@ def scaling_collapse(tables, column, scans=None, x_window=None):
     """
     curves = {}
     for length, table in tables.items():
-        d = _converged_derivative(table, column)
+        d = derivative(table, column)
         scan = (scans or {}).get(length) or pseudo_critical(table, column)
         y0 = float(np.interp(scan.lambda_m, table.lambdas, d))
         curves[length] = (length * (table.lambdas - scan.lambda_m), d - y0)
@@ -567,30 +547,19 @@ def bound_entanglement_scan(gamma, alpha, beta, lambdas, length=None,
     flags = flagged(table.columns)
 
     windows = []
-    i = 0
-    n = len(lambdas)
-    while i < n:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and flags[j + 1]:
-            j += 1
-        lo, hi = float(lambdas[i]), float(lambdas[j])
+    # flagged runs [i, end) lie between a rise and a fall of the padded flags
+    bounds = np.flatnonzero(np.diff(np.concatenate(([0], flags, [0]))))
+    for i, end in zip(bounds[::2], bounds[1::2]):
+        lo, hi = float(lambdas[i]), float(lambdas[end - 1])
         if i > 0:
             lo = _bisect_edge(flag_at, lambdas[i], lambdas[i - 1])
-        if j + 1 < n:
-            hi = _bisect_edge(flag_at, lambdas[j], lambdas[j + 1])
-        inside = slice(i, j + 1)
-        windows.append(
-            BoundWindow(
-                lo=lo, hi=hi,
-                max_tau_ub=float(np.max(tau[inside])),
-                min_tau_ub=float(np.min(tau[inside])),
-                max_neg_outer=float(np.max(neg_outer[inside])),
-            )
-        )
-        i = j + 1
+        if end < len(lambdas):
+            hi = _bisect_edge(flag_at, lambdas[end - 1], lambdas[end])
+        inside = slice(i, end)
+        windows.append(BoundWindow(
+            lo=lo, hi=hi, max_tau_ub=float(np.max(tau[inside])),
+            min_tau_ub=float(np.min(tau[inside])),
+            max_neg_outer=float(np.max(neg_outer[inside]))))
     return windows
 
 

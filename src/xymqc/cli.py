@@ -140,7 +140,7 @@ def _fmt(x):
 
 def _csv_text(args, table):
     length = np.inf if table.length is None else table.length
-    fixed = [table.gamma, table.alpha, table.beta, length]
+    fixed = [args.gamma, args.alpha, args.beta, length]
     lines = _header_lines(args)
     lines.append(",".join(CSV_FIELDS))
     for k, lam in enumerate(table.lambdas):

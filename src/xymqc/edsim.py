@@ -59,8 +59,9 @@ def _popcount(length):
 def _sector(length):
     """Tables of the dihedral-even basis of one length: the basis indices of
     the (-1)^L parity sector, the orbit of each, N^(-1/2) of that orbit, and
-    the lambda-independent blocks Z, A, B of H = Z - lambda A - lambda gamma B
-    (A from bond flips of unequal bits, B of equal bits).
+    the lambda-independent terms of H = Z - lambda A - lambda gamma B: the
+    diagonal of Z as a vector, and the blocks A (from bond flips of unequal
+    bits) and B (of equal bits).
 
     Block entry <b|H|a> = sqrt(N_a / N_b) sum_{t in b} H[t, r_a], where r_a
     represents orbit a, filled from the L bond flips of each r_a.  The flips
@@ -91,7 +92,7 @@ def _sector(length):
         return np.bincount(target[flips], minlength=n * n).reshape(n, n) * scale
 
     tables = (states, orbit, 1.0 / np.sqrt(sizes[orbit]),
-              np.diag((length - 2 * count[reps]).astype(float)), block(unequal), block(~unequal))
+              (length - 2 * count[reps]).astype(float), block(unequal), block(~unequal))
     for table in tables:  # one copy serves every caller
         table.flags.writeable = False
     return tables
@@ -114,8 +115,12 @@ def build_hamiltonian(length, params):
         raise ValueError(f"length must be one of {LENGTHS}, got {length}")
     *_, field, hopping, pairing = _sector(length)
     lam = params.lam
-    return SectorHamiltonian(length, params,
-                             field - lam * hopping - (lam * params.gamma) * pairing)
+    # 0.0 - x, not -x, leaves +0.0 where no bond flip lands, and x + (-y) is
+    # x - y exactly on the diagonal: h is (Z - lambda A) - lambda gamma B bit for bit
+    h = np.subtract(0.0, lam * hopping)
+    h.flat[:: len(h) + 1] += field
+    h -= (lam * params.gamma) * pairing
+    return SectorHamiltonian(length, params, h)
 
 
 def _certified_lowest(h, sigma):

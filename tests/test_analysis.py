@@ -29,10 +29,7 @@ from xymqc.xychain import ModelParams, SpinGeometry, factorization_lambda, rdm3
 
 
 def synthetic_table(lambdas, values, **kw):
-    defaults = dict(gamma=1.0, alpha=1, beta=1)
-    defaults.update(kw)
-    return SweepTable(lambdas=np.asarray(lambdas),
-                      columns={"y": np.asarray(values)}, **defaults)
+    return SweepTable(lambdas=np.asarray(lambdas), columns={"y": np.asarray(values)}, **kw)
 
 
 class TestSweep:
@@ -523,6 +520,29 @@ class TestBoundScan:
         assert w.max_neg_outer < 1e-9
         assert w.max_tau_ub > 1e-6
 
+    def test_windows_follow_the_flagged_runs(self, monkeypatch):
+        # flagged below 0.13, in (0.27, 0.34) and above 0.52, so the grid
+        # points 0.0, 0.1, ..., 0.6 read T, T, F, T, F, F, T
+        def synthetic(lam, *args, **kwargs):
+            flagged = lam < 0.13 or 0.27 < lam < 0.34 or lam > 0.52
+            row = dict.fromkeys(analysis.POINT_COLUMNS, 0.0)
+            row.update(tau_ub=1.0 + lam, neg_i=0.0 if flagged else 1.0, status="ok")
+            return row
+
+        monkeypatch.setattr(analysis, "measure_point", synthetic)
+        grid = np.linspace(0.0, 0.6, 7)
+        first, middle, last = bound_entanglement_scan(0.5, 4, 4, grid)
+        # the grid ends close the outer windows; every other edge is bisected
+        assert first.lo == grid[0] and last.hi == grid[-1]
+        assert abs(first.hi - 0.13) <= analysis.EDGE_TOL
+        assert abs(middle.lo - 0.27) <= analysis.EDGE_TOL
+        assert abs(middle.hi - 0.34) <= analysis.EDGE_TOL
+        assert abs(last.lo - 0.52) <= analysis.EDGE_TOL
+        assert (first.min_tau_ub, first.max_tau_ub) == (1.0 + grid[0], 1.0 + grid[1])
+        assert middle.min_tau_ub == middle.max_tau_ub == 1.0 + grid[3]
+        assert last.min_tau_ub == last.max_tau_ub == 1.0 + grid[6]
+        assert all(w.max_neg_outer == 0.0 for w in (first, middle, last))
+
 
 class TestFidelity:
     def test_self_fidelity(self):
@@ -634,6 +654,56 @@ class TestNonConvergedPoint:
                                           coarse=(1.14, 1.18, 0.01))
         assert 1.14 <= err.value.lam <= 1.18
         assert "max-iterations" in err.value.status
+
+    @staticmethod
+    def fail_at(monkeypatch, bad_lam):
+        """measure_point, with a cut-short solve at bad_lam alone."""
+        real = analysis.measure_point
+
+        def failing(lam, *args, **kwargs):
+            row = real(lam, *args, **kwargs)
+            if lam == bad_lam:
+                row["status"] = "max-iterations"
+            return row
+
+        monkeypatch.setattr(analysis, "measure_point", failing)
+
+    def test_scan_raises_at_a_subsample_point_no_run_reaches(self, monkeypatch):
+        # 20 lattice points leave 2 in the subsample, too few for a
+        # derivative, and the run around index 9 stops short of index 0
+        coarse = (1.0052, 1.0071, 1e-4)
+        bad = analysis.grid(*coarse)[0]
+        self.fail_at(monkeypatch, bad)
+        with pytest.raises(NonConvergedPoint) as err:
+            analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3", coarse=coarse)
+        assert err.value.lam == bad
+        assert err.value.status == "max-iterations"
+
+    def test_scan_raises_at_a_point_only_a_fine_stage_measures(self, monkeypatch):
+        measured, marks = [], []
+        real_point, real_scan = analysis.measure_point, analysis.pseudo_critical
+
+        def recording_point(lam, *args, **kwargs):
+            measured.append(lam)
+            return real_point(lam, *args, **kwargs)
+
+        def recording_scan(table, column):
+            marks.append(len(measured))
+            return real_scan(table, column)
+
+        monkeypatch.setattr(analysis, "measure_point", recording_point)
+        monkeypatch.setattr(analysis, "pseudo_critical", recording_scan)
+        analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3")
+        monkeypatch.undo()
+        # at L = 41 the coarse stage is followed by the 1e-4 stage alone
+        assert len(marks) == 2 and marks[0] < marks[1] == len(measured)
+        bad = measured[-1]
+        assert bad not in measured[:marks[0]]
+        self.fail_at(monkeypatch, bad)
+        with pytest.raises(NonConvergedPoint) as err:
+            analysis.scan_pseudo_critical(1.0, 2, 1, 41, "n3")
+        assert err.value.lam == bad
+        assert err.value.status == "max-iterations"
 
     def test_fit_cli_exits_nonzero(self, two_iterations, capsys):
         # the fit grid 1.05..1.22 crosses the same edge

@@ -41,6 +41,18 @@ def test_hamiltonian_is_real_symmetric():
     assert np.isrealobj(block)
 
 
+@pytest.mark.parametrize("length", edsim.LENGTHS)
+def test_hamiltonian_is_the_dense_sum_bit_for_bit(length):
+    # the field is cached as a vector and added on the diagonal; every byte,
+    # the sign of each zero included, is that of Z - lambda A - lambda gamma B
+    *_, field, hopping, pairing = edsim._sector(length)
+    for lam in (0.0, 0.9, 2.0):
+        for gamma in (0.0, 0.4, 1.0):
+            dense = np.diag(field) - lam * hopping - (lam * gamma) * pairing
+            h = edsim.build_hamiltonian(length, ModelParams(lam, gamma, length)).matrix
+            assert h.tobytes() == dense.tobytes()
+
+
 def site_permutation(length, image):
     """Permutation matrix moving the spin of site i to site image[i]."""
     perm = np.zeros((1 << length, 1 << length))
