@@ -230,10 +230,9 @@ def fit_drift_exponent(scans):
     return _fit(x, y)
 
 
-def _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp,
-              center=None, values=None):
+def _fine_run(lattice, column, length, value, center=None, values=None):
     """The one-column table of `column` over a run of consecutive `lattice`
-    points around `center`.
+    points around `center`, whose values `value(lambda)` gives.
 
     `center` is a lattice index, the middle of the lattice by default.  The
     run starts FINE_RUN_STEPS points either side of it.  While the
@@ -241,8 +240,8 @@ def _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp,
     on one side, the run grows to FINE_RUN_STEPS points beyond that
     minimum, unless it already reaches the lattice end on that side.
     `values` maps lattice indices to the column's values measured before;
-    every other point is measured once, in this process, and raises
-    NonConvergedPoint where its solve fails.
+    `value`, a `measure_evaluator` that raises NonConvergedPoint where a
+    solve fails, runs once, in this process, on every other point.
     """
     values = {} if values is None else values
     last = len(lattice) - 1
@@ -251,8 +250,7 @@ def _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp,
     while True:
         for k in range(lo, hi + 1):
             if k not in values:
-                values[k] = _converged_point(lattice[k], gamma, alpha, beta, length,
-                                             with_sdp)[column]
+                values[k] = value(lattice[k])
         run = np.array([values[k] for k in range(lo, hi + 1)])
         table = SweepTable(lattice[lo:hi + 1], {column: run}, length)
         i = int(np.argmin(derivative(table, column)))
@@ -323,10 +321,9 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
     if len(sample.lambdas) >= 3:
         center = COARSE_STRIDE * int(np.argmin(derivative(sample, column)))
     values = dict(zip(range(0, len(lattice), COARSE_STRIDE), sample.columns[column]))
+    value = measure_evaluator(column, gamma, alpha, beta, length)
     scan = pseudo_critical(
-        _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp,
-                  center=center, values=values),
-        column)
+        _fine_run(lattice, column, length, value, center=center, values=values), column)
     steps = [1e-4]
     if length >= 300:
         steps.append(1e-5)
@@ -340,9 +337,7 @@ def scan_pseudo_critical(gamma, alpha, beta, length, column,
         halfwidth = FINE_HALFWIDTH_STEPS * previous
         lattice = grid(center - halfwidth, center + halfwidth, step)
         try:
-            scan = pseudo_critical(
-                _fine_run(lattice, column, gamma, alpha, beta, length, with_sdp),
-                column)
+            scan = pseudo_critical(_fine_run(lattice, column, length, value), column)
         except WindowError as err:
             raise WindowError(
                 f"fine stage at step {step:g} (window lambda={center:.9f} ± "
@@ -489,8 +484,7 @@ def factorization_scaling(gamma, alpha, beta, column, lengths):
     """One measure at lambda_f(gamma) on each finite length, with the fit of
     its logarithm against L; an unconverged point raises NonConvergedPoint."""
     lam_f = factorization_lambda(gamma)
-    with_sdp = column in SDP_COLUMNS
-    vals = np.array([_converged_point(lam_f, gamma, alpha, beta, int(L), with_sdp)[column]
+    vals = np.array([measure_evaluator(column, gamma, alpha, beta, int(L))(lam_f)
                      for L in lengths])
     lengths = np.asarray(lengths, dtype=int)
     fit = _fit(lengths, np.log(np.clip(vals, 1e-300, None)))

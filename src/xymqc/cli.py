@@ -384,8 +384,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, analysis.FactorizationNotFound, analysis.WindowError,
-            analysis.NonConvergedPoint) as exc:
+    except (ValueError, analysis.FactorizationNotFound, analysis.NonConvergedPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except IOError as exc:

@@ -58,11 +58,6 @@ class DensityMatrix:
         validate_density(self.matrix)
 
 
-def _to_tensor(matrix, dims):
-    n = len(dims)
-    return np.asarray(matrix).reshape(dims + dims), n
-
-
 def partial_transpose(matrix, dims, subsystem):
     """Transpose one tensor factor of a composite-system matrix.
 
@@ -93,7 +88,8 @@ def partial_trace(matrix, dims, keep):
         raise ValueError("duplicate subsystem in keep set")
     if any(not 0 <= k < len(dims) for k in keep):
         raise IndexError(f"keep {keep} out of range for dims {dims}")
-    t, n = _to_tensor(matrix, dims)
+    n = len(dims)
+    t = np.asarray(matrix).reshape(dims + dims)
     traced = [i for i in range(n) if i not in keep]
     for count, i in enumerate(sorted(traced, reverse=True)):
         t = np.trace(t, axis1=i, axis2=i + n - count)

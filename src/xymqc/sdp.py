@@ -11,7 +11,8 @@ of the 64 entries of rho through `measures._CUT_PT[center]`, in rho's own
 dtype, and the partial transpose |rho^{T_A}|^{T_A}
 is one more gather through the fixed table `_PT_FRONT`.  One `eigh` of
 rho^{T_A} and one `eigvalsh` of |rho^{T_A}|^{T_A} give the trace norm and
-the binegativity certificate |rho^{T_A}|^{T_A} >= 0.
+the binegativity certificate |rho^{T_A}|^{T_A} >= 0; `_cut` makes all of
+these, for the certificate test and the warm start alike.
 
 `e_ppt` first tests that certificate; where it holds, S = |rho^{T_A}|^{T_A}
 is optimal and E_kappa is the log-negativity log2 ||rho^{T_A}||_1 in closed
@@ -95,18 +96,16 @@ def _dag(m):
     return mt.conj() if np.iscomplexobj(mt) else mt
 
 
-def _cut_pt(rho, dims, center):
-    """rho^{T_A} across the cut center | rest, center first, in rho's dtype."""
+def _cut(rho, dims, center):
+    """(rho^T, ||rho^T||_1, |rho^T|^T, the minimum eigenvalue of |rho^T|^T)
+    across the cut center | rest, center first, in rho's dtype."""
     if tuple(dims) != DIMS3:
         raise ValueError(f"E_kappa takes three qubits, dims {DIMS3}; got {tuple(dims)}")
-    return np.asarray(rho).reshape(64)[_CUT_PT[center]]
-
-
-def _certificate(rho_pt):
-    """(||rho^T||_1, |rho^T|^T, the minimum eigenvalue of |rho^T|^T)."""
+    rho_pt = np.asarray(rho).reshape(64)[_CUT_PT[center]]
     w, v = np.linalg.eigh(rho_pt)
     abs_pt_pt = ((v * np.abs(w)) @ _dag(v)).reshape(64)[_PT_FRONT]
-    return float(np.abs(w).sum()), abs_pt_pt, float(np.linalg.eigvalsh(abs_pt_pt)[0])
+    return (rho_pt, float(np.abs(w).sum()), abs_pt_pt,
+            float(np.linalg.eigvalsh(abs_pt_pt)[0]))
 
 
 def _has_parity(rho_pt):
@@ -154,9 +153,8 @@ class KappaProgram:
     the coordinates `start` of the warm start S_0."""
 
     def __init__(self, rho, dims, center):
-        rho_pt = _cut_pt(rho, dims, center)
+        rho_pt, _, abs_pt_pt, min_eig = _cut(rho, dims, center)
         real_data = not np.iscomplexobj(rho_pt)
-        _, abs_pt_pt, min_eig = _certificate(rho_pt)
         self.ops, self.sectors = _block_basis(real_data, _has_parity(rho_pt))
         p = len(self.sectors)
         r = self._by_sector(rho_pt)
@@ -305,19 +303,13 @@ def _newton_step(prog, x, z_inv, w, l_inv, target):
     return ds, dz, 0.5 * (dx + _dag(dx))
 
 
-def _binegativity(rho, dims, center):
-    """(min eigenvalue of |rho^T|^T, ||rho^T||_1) across the cut center | rest."""
-    pt_norm, _, min_eig = _certificate(_cut_pt(rho, dims, center))
-    return min_eig, pt_norm
-
-
 def e_ppt(rho, dims=(2, 2, 2), center=0):
     """PPT exact entanglement cost across center | rest as (e_kappa, status).
 
     Where the binegativity certificate holds, e_kappa is the log-negativity
     and no SDP is solved; otherwise the interior-point solver runs.
     """
-    min_eig, pt_norm = _binegativity(rho, dims, center)
+    _, pt_norm, _, min_eig = _cut(rho, dims, center)
     if min_eig >= -CERTIFICATE_TOL:
         return float(np.log2(pt_norm)), "converged"
     sol = solve_kappa(rho, dims, center)
@@ -326,4 +318,4 @@ def e_ppt(rho, dims=(2, 2, 2), center=0):
 
 def binegativity_is_psd(rho, dims=(2, 2, 2), center=0):
     """True when |rho^T|^T is PSD, which forces e_kappa to equal LN."""
-    return _binegativity(rho, dims, center)[0] >= -CERTIFICATE_TOL
+    return _cut(rho, dims, center)[3] >= -CERTIFICATE_TOL

@@ -308,9 +308,8 @@ def _wick_table(geoms):
     per size, whose padded LU work equals the matrices' own.  Each group is a
     (k, size, size) index stack padded to its largest size, for one
     `np.linalg.det` call; `order` takes the concatenated determinants to
-    string order, and the signs have shape (n, 19).  Indices are held in the
-    smallest unsigned dtype that reaches 2 * rmax + 2 (one byte up to
-    rmax = 126), which numpy widens as it gathers.
+    string order, and the signs have shape (n, 19).  Indices are held in
+    numpy's default integer, which a gather takes without a conversion.
     """
     rmax = max(alpha + beta for alpha, beta in geoms)
     lists = [_wick_lists(string, (-alpha, 0, beta))
@@ -331,10 +330,8 @@ def _wick_table(geoms):
             members = []
     if members:
         groups.append(members)
-    dtype = np.min_scalar_type(2 * rmax + 2)
     stacks = tuple(
-        np.array([_wick_index(*distinct[k], sizes[group[0]], rmax) for k in group],
-                 dtype=dtype)
+        np.array([_wick_index(*distinct[k], sizes[group[0]], rmax) for k in group])
         for group in groups
     )
     order = np.argsort(np.concatenate(groups))[matrix_of]

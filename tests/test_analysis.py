@@ -409,6 +409,19 @@ class TestFits:
         fit = analysis.fit_drift_exponent(scans)
         assert abs(fit.slope + 1.4) < 1e-9
 
+    def test_drift_exponent_needs_five_points(self):
+        scans = [CriticalScan(L, 1.0 - L**-1.4, 0.0) for L in (41, 101, 201, 401)]
+        with pytest.raises(WindowError, match="at least 5 points"):
+            analysis.fit_drift_exponent(scans)
+
+    def test_log_divergence_needs_five_points_in_window(self):
+        lam = np.arange(0.9705, 0.99995, 1e-3)
+        tbl = synthetic_table(lam, np.zeros_like(lam))
+        tbl.columns["d_y"] = np.log(np.abs(lam - 1.0))
+        # |lambda - 1| in [1e-3, 3e-3] below 1 holds 0.9975 and 0.9985 only
+        with pytest.raises(WindowError, match="fewer than 5 points"):
+            fit_log_divergence(tbl, "y", window=(1e-3, 3e-3))
+
 
 class TestCollapse:
     def test_single_length_trivial(self):
@@ -456,6 +469,18 @@ class TestDetectFactorization:
     def test_no_dip(self):
         with pytest.raises(FactorizationNotFound):
             detect_factorization(lambda lam: 1.0 + (lam - 1.0) ** 2, (0.9, 1.1))
+
+    def test_monotone_measure_has_its_minimum_at_the_edge(self):
+        with pytest.raises(FactorizationNotFound, match="window edge"):
+            detect_factorization(lambda lam: lam, (0.9, 1.1))
+
+    def test_measure_zero_over_the_window_rejected(self):
+        # an interior dip, but the whole window sits below ZERO_THRESHOLD
+        def evaluator(lam):
+            return 1e-10 * abs(lam - 1.0)
+
+        with pytest.raises(FactorizationNotFound, match="zero over the whole window"):
+            detect_factorization(evaluator, (0.9, 1.1))
 
     def test_one_sided_death_rejected(self):
         # collapses and stays dead: no revival, not a sudden change

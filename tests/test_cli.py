@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from xymqc import cli, edsim, measures, xychain
+from xymqc import cli, edsim, measures, sdp, xychain
 
 ENV = dict(os.environ, SOURCE_DATE_EPOCH="1700000000")
 GEOM = ["--alpha", "1", "--beta", "1", "--gamma", "0.5", "--infinite"]
@@ -88,6 +88,22 @@ class TestUsage:
         assert cli.main(["verify", "--L", "15", "--lambda", "0.5",
                          "--gamma", "0.5"]) == cli.EXIT_USAGE
         assert str(edsim.LENGTHS) in capsys.readouterr().err
+
+
+class TestComputeErrors:
+    def test_short_fit_window_is_one_compute_error(self, capsys):
+        assert cli.main(["fit", "--measure", "n3", "--alpha", "1", "--beta", "1",
+                         "--gamma", "1", "--infinite", "--step", "1e-3",
+                         "--window-min", "1e-3", "--window-max", "3e-3"]) == cli.EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: fit window selects fewer than 5 points"]
+
+    def test_unconverged_boundscan_names_its_lambda(self, monkeypatch, capsys):
+        monkeypatch.setattr(sdp, "MAX_ITERS", 2)
+        assert cli.main(["boundscan", "--alpha", "4", "--beta", "4", "--gamma", "0.5",
+                         "--infinite", "--lambda-min", "1.15", "--lambda-max", "1.17",
+                         "--step", "0.01"]) == cli.EXIT_COMPUTE
+        assert "did not converge at lambda=1.16" in capsys.readouterr().err
 
 
 class TestRdm:

@@ -118,6 +118,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), (2, 2), keep=[])
 
+    @pytest.mark.parametrize("keep, error, match", [
+        ([0, 0], ValueError, "duplicate"), ([2], IndexError, "out of range"),
+    ], ids=["duplicate", "out-of-range"])
+    def test_bad_keep_rejected(self, keep, error, match):
+        with pytest.raises(error, match=match):
+            partial_trace(np.eye(4) / 4.0, (2, 2), keep=keep)
+
 
 class TestRealignment:
     def test_pure_product(self):
@@ -209,6 +216,10 @@ class TestMatrixSqrt:
         with pytest.raises(NotPSDError):
             matrix_sqrt_psd(np.diag([1.0, -1e-3]))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            matrix_sqrt_psd(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
 
 class TestDensityMatrix:
     def test_valid(self):
@@ -232,6 +243,10 @@ class TestDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(NotPSDError):
             DensityMatrix(np.diag([1.2, -0.2, 0.0, 0.0]), (2, 2))
+
+    def test_rejects_shape_that_misses_the_dims(self):
+        with pytest.raises(ValueError, match="does not match dims"):
+            DensityMatrix(np.eye(4) / 4.0, (2, 2, 2))
 
 
 class TestValidateDensity:

@@ -294,7 +294,8 @@ class TestGatheredCertificate:
         worst = 0.0
         for rho in states:
             for center in range(3):
-                got = sdp._binegativity(rho, DIMS3, center)
+                _, pt_norm, _, min_eig = sdp._cut(rho, DIMS3, center)
+                got = (min_eig, pt_norm)
                 want = reference_binegativity(rho, center)
                 worst = max(worst, *np.abs(np.subtract(got, want)))
         assert worst <= 1e-14
@@ -330,7 +331,7 @@ class TestWarmStart:
         for rho, center in cuts:
             prog = sdp.KappaProgram(rho, DIMS3, center)
             warm = sdp._solve_program(prog)
-            pt_norm = sdp._certificate(sdp._cut_pt(rho, DIMS3, center))[0]
+            pt_norm = sdp._cut(rho, DIMS3, center)[1]
             prog.start = (pt_norm + 1.0) * prog.unit
             cold = sdp._solve_program(prog)
             assert warm.status == cold.status == "converged"

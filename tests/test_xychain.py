@@ -584,6 +584,14 @@ class TestWickGroups:
         assert all(len(index) > 19 for index in stacks[:-1])
         assert len(xychain._wick_table(((4, 3),))[0]) == 1
 
+    @pytest.mark.parametrize("geoms", [
+        ((2, 1),), tuple((g.alpha, g.beta) for g in verify_geometries(13)),
+    ], ids=["geometry-2-1", "verify-L13"])
+    def test_index_stacks_take_the_default_integer(self, geoms):
+        # a gather converts any other index dtype to intp first
+        stacks = xychain._wick_table(geoms)[0]
+        assert all(index.dtype == np.intp for index in stacks)
+
 
 def pair_state(distance, params):
     """Two-spin reduced matrix at the given separation, as a marginal of rdm3."""
