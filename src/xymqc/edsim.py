@@ -149,7 +149,9 @@ def _certified_lowest(h, sigma):
         try:
             y = np.linalg.solve(shifted, x)
         except np.linalg.LinAlgError:  # sigma is exactly a level (diagonal h)
-            sigma -= slack
+            # a step of slack would leave the next residual just above slack;
+            # slack / n, but at least one ulp, leaves it below
+            sigma = min(sigma - slack / n, np.nextafter(sigma, -np.inf))
             continue
         x = y / np.linalg.norm(y)
         hx = h @ x

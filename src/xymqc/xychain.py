@@ -13,9 +13,13 @@ at gamma = 0, and for finite odd L by the momentum sum.  Either way all
 g(-rmax..rmax) of a parameter point come from one vectorised call
 (`correlators`), and both rules share one integrand (`_moments`) over the
 lambda-independent node data of `_nodes`.  The momentum sum reads that data
-from a bounded per-(L, rmax) cache (`_momentum_table`), so a finite-chain
-call does only the lambda, gamma work.  The Gauss-Legendre rule, and with
-it numpy.polynomial, is loaded on the first thermodynamic-limit call.
+from a bounded per-(L, rmax) cache (`_momentum_table`), and the
+Gauss-Legendre rule from a bounded cache of one rule per (gamma, rmax, t0
+cell) (`_cell_nodes`), so either call does only the lambda, gamma work.  The
+cached rule is graded toward the cell, not toward lambda's own t0, so
+thermodynamic-limit outputs move by ulps against a rule graded at each
+lambda.  The Gauss-Legendre rule, and with it numpy.polynomial, is loaded on
+the first thermodynamic-limit call.
 
 The three-spin reduced state on sites (i-alpha, i, i+beta) is the Pauli
 expansion rho = (1/8) (I + sum_P <P> P).  P runs over the 19 strings whose
@@ -38,6 +42,7 @@ lambda=0 the ground state is |111>.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +100,7 @@ class SpinGeometry:
 # Panel width times the largest |r| stays below this, so that every panel
 # holds at most ~1.3 periods of cos(r phi) (20-point rule exact to ~1e-15).
 _MAX_PHASE = 8.0
-# Floor of the grading depth, reached only for gamma < 4e-17; |integrand| <= 1,
+# Depth of the grading toward t = 0, whatever |1 - lambda|; |integrand| <= 1,
 # so the unresolved remainder is below 1e-17.
 _MIN_DEPTH = 1e-17
 
@@ -149,22 +154,34 @@ def _lagged(cos_moments, sin_moments):
     return np.concatenate([(cos_moments + sin_moments)[:0:-1], cos_moments - sin_moments])
 
 
-def _graded_rule(lam, gamma, rmax):
-    """Nodes t = pi - phi and weights of the graded Gauss-Legendre rule on [0, pi].
+def _cell(lam, gamma):
+    """The t0 cell of lambda: round(t0 / gamma) for lambda > 1, where
+    t0 = arccos(1/lambda) = pi - phi0 and alpha vanishes; -1 for lambda <= 1."""
+    if lam <= 1.0:
+        return -1
+    return round(math.atan(math.sqrt((lam - 1.0) * (lam + 1.0))) / gamma)
+
+
+def _cell_rule(gamma, rmax, cell):
+    """Nodes t = pi - phi and weights of the graded Gauss-Legendre rule on
+    [0, pi] shared by every lambda of a t0 cell (`_cell`).
 
     Panels halve in width toward t = 0 (phi = pi, where the gap closes at
-    lambda = 1) down to min(|1 - lambda|, gamma)/4, and for lambda > 1 also
-    toward t0 = arccos(1/lambda) (phi0 = arccos(-1/lambda), where alpha
-    vanishes and the integrand steps over a width ~gamma) down to gamma/4.
+    lambda = 1) down to _MIN_DEPTH, which resolves any |1 - lambda|, and for
+    cell >= 0 also toward t_c = cell * gamma down to gamma/4.  There alpha
+    vanishes at t0, within gamma/2 of t_c, and the integrand steps over a
+    width ~gamma, so its nearest singularity lies ~gamma off the real axis,
+    eight times the half width of the panels that hold t0.  The edges are
+    sorted and deduplicated by hand: np.unique would import numpy.ma.
     """
-    depth = max(min(abs(1.0 - lam), gamma) / 4.0, _MIN_DEPTH)
-    levels = np.arange(int(np.ceil(np.log2(np.pi / depth))) + 1)
+    levels = np.arange(int(np.ceil(np.log2(np.pi / _MIN_DEPTH))) + 1)
     edges = [np.array([0.0]), np.pi * 0.5 ** levels]
-    if lam > 1.0:
-        t0 = np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))
+    if cell >= 0:
+        t_c = cell * gamma
         steps = 0.25 * gamma * 2.0 ** np.arange(int(np.ceil(np.log2(4.0 * np.pi / gamma))) + 1)
-        edges += [np.array([t0]), t0 - steps, t0 + steps]
-    edges = np.unique(np.clip(np.concatenate(edges), 0.0, np.pi))
+        edges += [np.array([t_c]), t_c - steps, t_c + steps]
+    edges = np.sort(np.clip(np.concatenate(edges), 0.0, np.pi))
+    edges = edges[np.append(True, edges[1:] > edges[:-1])]
     pieces = np.ceil(np.diff(edges) * max(rmax, 1) / _MAX_PHASE).astype(int)
     if pieces.max() > 1:
         # each panel [a, b) in n pieces at a + k (b - a)/n, k < n: the
@@ -179,19 +196,37 @@ def _graded_rule(lam, gamma, rmax):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
+@functools.lru_cache(maxsize=8)
+def _cell_nodes(gamma, rmax, cell):
+    """Read-only `_nodes` of `_cell_rule`, weights over pi.
+
+    An entry holds (rmax + 3) x 1,200-1,800 float64 values: about 0.12 MB at
+    rmax = 8, and 8 entries at most.  A sweep over lambda > 1 at small gamma
+    crosses one cell per gamma of t0, so it rebuilds a rule that often.
+    """
+    t, weights = _cell_rule(gamma, rmax, cell)
+    nodes = _nodes(t, weights / np.pi, rmax)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
 def g_infinite(params, rmax):
     """Fermionic correlators g(-rmax), ..., g(rmax) in the thermodynamic
     limit; g(r) sits at index r + rmax.
 
-    The integral is a graded 20-point Gauss-Legendre rule.  At lambda = 0 and
-    at gamma = 0 the closed forms are used: g(r) = delta_{r0} for
-    lambda <= 1, and g(r) = 2 sin(r phi0)/(pi r), g(0) = 2 phi0/pi - 1 with
-    phi0 = arccos(-1/lambda) for lambda > 1.
+    The integral is a graded 20-point Gauss-Legendre rule, one cached rule
+    per (gamma, rmax, t0 cell) (`_cell_nodes`), so a call does only the
+    lambda work.  The rule a lambda reads depends on its cell, not on lambda
+    itself, so g moves by a few ulps against a rule graded at lambda.  At
+    lambda = 0 and at gamma = 0 the closed forms are used:
+    g(r) = delta_{r0} for lambda <= 1, and g(r) = 2 sin(r phi0)/(pi r),
+    g(0) = 2 phi0/pi - 1 with phi0 = arccos(-1/lambda) for lambda > 1.
     """
     lam, gamma = params.lam, params.gamma
     if gamma > 0.0 and lam > 0.0:
-        t, weights = _graded_rule(lam, gamma, rmax)
-        return _lagged(*_moments(_nodes(t, weights / np.pi, rmax), lam, gamma))
+        nodes = _cell_nodes(gamma, rmax, _cell(lam, gamma))
+        return _lagged(*_moments(nodes, lam, gamma))
     cos_moments = (np.arange(rmax + 1) == 0).astype(float)
     if lam > 1.0:
         phi0 = np.pi - np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))  # arccos(-1/lam)

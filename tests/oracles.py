@@ -8,13 +8,16 @@ parity sector), the spin-parity diagonal, and a feasibility and
 optimality audit of an E_kappa solution on full 8x8 matrices, built on
 `linalg.partial_transpose` (the solver gathers through index tables), and
 the pseudo-critical cascade that sweeps every point of each fine window,
-the old fixed wide windows by default.
+the old fixed wide windows by default, and the thermodynamic-limit
+quadrature rule graded at each lambda, which the package replaced by one
+rule per t0 cell.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from xymqc import xychain
 from xymqc.analysis import SDP_COLUMNS, grid, pseudo_critical, sweep
 from xymqc.linalg import partial_transpose
 
@@ -190,3 +193,40 @@ def wide_window_scan(gamma, alpha, beta, length, column,
                     length=length, with_sdp=with_sdp, workers=workers)
         scan = pseudo_critical(tbl, column)
     return scan
+
+
+def linspace_panels(edges, rmax):
+    """Nodes t and weights of the 20-point Gauss-Legendre rule on the panels
+    between the sorted distinct edges, each panel split by its own
+    np.linspace into pieces of width at most _MAX_PHASE / rmax."""
+    pieces = np.ceil(np.diff(edges) * max(rmax, 1) / xychain._MAX_PHASE).astype(int)
+    edges = np.concatenate([np.linspace(a, b, n, endpoint=False)
+                            for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    x, w = xychain._gauss_legendre()
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def graded_rule(lam, gamma, rmax):
+    """Nodes t = pi - phi and weights of the Gauss-Legendre rule on [0, pi]
+    graded at lambda itself.
+
+    Panels halve in width toward t = 0 down to min(|1 - lambda|, gamma)/4,
+    and for lambda > 1 also toward t0 = arccos(1/lambda) down to gamma/4.
+    """
+    depth = max(min(abs(1.0 - lam), gamma) / 4.0, xychain._MIN_DEPTH)
+    levels = np.arange(int(np.ceil(np.log2(np.pi / depth))) + 1)
+    edges = [np.array([0.0]), np.pi * 0.5 ** levels]
+    if lam > 1.0:
+        t0 = np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))
+        steps = 0.25 * gamma * 2.0 ** np.arange(int(np.ceil(np.log2(4.0 * np.pi / gamma))) + 1)
+        edges += [np.array([t0]), t0 - steps, t0 + steps]
+    return linspace_panels(np.unique(np.clip(np.concatenate(edges), 0.0, np.pi)), rmax)
+
+
+def g_graded(lam, gamma, rmax):
+    """g(-rmax..rmax) in the thermodynamic limit from `graded_rule`."""
+    t, weights = graded_rule(lam, gamma, rmax)
+    return xychain._lagged(*xychain._moments(xychain._nodes(t, weights / np.pi, rmax),
+                                             lam, gamma))

@@ -427,3 +427,24 @@ class TestCertifiedReference:
         h = q @ np.diag(levels) @ q.T
         energy, x = edsim._certified_lowest(0.5 * (h + h.T), -3.0)
         assert abs(energy + 3.0) <= 1e-12 and 1.0 - abs(x @ q[:, 0]) <= 1e-12
+
+    @pytest.mark.parametrize("lam,gamma", [(0.0, 0.5), (0.5, 0.0)])
+    @pytest.mark.parametrize("length", edsim.LENGTHS)
+    def test_seed_on_a_level_takes_two_solves(self, monkeypatch, length, lam, gamma):
+        # at lambda = 0, and at gamma = 0 where |1...1> is alone in its
+        # block, the seed can be exactly a level: that solve fails, the
+        # lowered shift converges in one more
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        ham = edsim.build_hamiltonian(length, ModelParams(lam, gamma, length))
+        pair = edsim._certified_lowest(
+            ham.matrix, edsim.dispersion_ground_energy(length, ham.params))
+        assert pair is not None
+        assert len(calls) <= 2
+        assert abs(pair[0] + length) <= 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import factorized_pair
+from oracles import factorized_pair, g_graded, linspace_panels
 from xymqc import xychain
 from xymqc.linalg import partial_trace
 from xymqc.xychain import (
@@ -211,35 +211,83 @@ class TestGFinite:
             g_finite(ModelParams(1.0, 0.5), 0)
 
 
-def linspace_graded_rule(lam, gamma, rmax):
-    """`_graded_rule` with each panel split by its own np.linspace."""
-    depth = max(min(abs(1.0 - lam), gamma) / 4.0, xychain._MIN_DEPTH)
-    levels = np.arange(int(np.ceil(np.log2(np.pi / depth))) + 1)
+def linspace_cell_rule(gamma, rmax, cell):
+    """`_cell_rule` with np.unique edges and each panel split by its own np.linspace."""
+    levels = np.arange(int(np.ceil(np.log2(np.pi / xychain._MIN_DEPTH))) + 1)
     edges = [np.array([0.0]), np.pi * 0.5 ** levels]
-    if lam > 1.0:
-        t0 = np.arctan(np.sqrt((lam - 1.0) * (lam + 1.0)))
+    if cell >= 0:
+        t_c = cell * gamma
         steps = 0.25 * gamma * 2.0 ** np.arange(int(np.ceil(np.log2(4.0 * np.pi / gamma))) + 1)
-        edges += [np.array([t0]), t0 - steps, t0 + steps]
-    edges = np.unique(np.clip(np.concatenate(edges), 0.0, np.pi))
-    pieces = np.ceil(np.diff(edges) * max(rmax, 1) / xychain._MAX_PHASE).astype(int)
-    edges = np.concatenate([np.linspace(a, b, n, endpoint=False)
-                            for a, b, n in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
+        edges += [np.array([t_c]), t_c - steps, t_c + steps]
+    return linspace_panels(np.unique(np.clip(np.concatenate(edges), 0.0, np.pi)), rmax)
+
+
+def halved_panels(t, weights):
+    """The rule (t, weights) with every 20-node Gauss-Legendre panel split in two."""
     x, w = xychain._gauss_legendre()
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+    mid = t.reshape(-1, x.size).mean(axis=1)
+    quarter = 0.25 * weights.reshape(-1, x.size).sum(axis=1)   # half width / 2
+    centers = np.stack([mid - quarter, mid + quarter], axis=1).ravel()
+    quarter = np.repeat(quarter, 2)
+    return (centers[:, None] + quarter[:, None] * x).ravel(), (quarter[:, None] * w).ravel()
+
+
+# lambda in [0.01, 3] and 1 +- 10^-14..10^-1, where the grading matters most
+RULE_LAMBDAS = np.concatenate([np.linspace(0.01, 3.0, 61),
+                               1.0 - 10.0 ** -np.arange(1, 15), 1.0 + 10.0 ** -np.arange(1, 15)])
 
 
 class TestGradedRule:
     def test_panel_split_matches_per_panel_linspace(self):
         # bit for bit, across the grading's regimes and the phase splits
-        for lam in np.linspace(0.01, 3.0, 61):
-            for gamma in (1e-3, 0.05, 0.2, 0.5, 1.0):
-                for rmax in (0, 1, 3, 8, 20, 40):
-                    got = xychain._graded_rule(lam, gamma, rmax)
-                    want = linspace_graded_rule(lam, gamma, rmax)
+        for gamma in (1e-3, 0.05, 0.2, 0.5, 1.0):
+            cells = sorted({xychain._cell(lam, gamma) for lam in np.linspace(0.01, 3.0, 61)})
+            for rmax in (0, 1, 3, 8, 20, 40):
+                for cell in cells:
+                    got = xychain._cell_rule(gamma, rmax, cell)
+                    want = linspace_cell_rule(gamma, rmax, cell)
                     for a, b in zip(got, want):
-                        assert np.array_equal(a, b), (lam, gamma, rmax)
+                        assert np.array_equal(a, b), (gamma, rmax, cell)
+
+    def test_cell_rule_matches_per_lambda_rule(self):
+        worst = 0.0
+        for gamma in (1e-3, 0.01, 0.05, 0.2, 0.5, 1.0):
+            for rmax in (3, 8, 20):
+                for lam in RULE_LAMBDAS:
+                    g = g_infinite(ModelParams(lam, gamma), rmax)
+                    worst = max(worst, np.max(np.abs(g - g_graded(lam, gamma, rmax))))
+        assert worst <= 5e-15
+
+    def test_halving_every_panel_moves_g_below_1e_14(self):
+        # the boundscan window of criterion 6, and either side of the gap closing
+        gamma, rmax = 0.5, 8
+        worst = 0.0
+        for lam in np.concatenate([np.linspace(0.93, 1.25, 81), [1.0 - 1e-9, 1.0 + 1e-9]]):
+            t, weights = halved_panels(*xychain._cell_rule(gamma, rmax, xychain._cell(lam, gamma)))
+            nodes = xychain._nodes(t, weights / np.pi, rmax)
+            halved = xychain._lagged(*xychain._moments(nodes, lam, gamma))
+            worst = max(worst, np.max(np.abs(halved - g_infinite(ModelParams(lam, gamma), rmax))))
+        assert worst <= 1e-14
+
+    def test_nodes_are_read_only(self):
+        g_infinite(ModelParams(1.1, 0.5), 3)
+        for rows in xychain._cell_nodes(0.5, 3, xychain._cell(1.1, 0.5)):
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        maxsize = xychain._cell_nodes.cache_info().maxsize
+        assert maxsize is not None
+        params = ModelParams(1.1, 0.5)
+        first = g_infinite(params, 1)
+        for rmax in range(1, maxsize + 4):
+            g_infinite(params, rmax)
+        assert xychain._cell_nodes.cache_info().currsize == maxsize
+        # an evicted key is rebuilt, to the same values
+        misses = xychain._cell_nodes.cache_info().misses
+        assert np.array_equal(g_infinite(params, 1), first)
+        assert xychain._cell_nodes.cache_info().misses == misses + 1
 
 
 class TestMomentumTable:
@@ -323,8 +371,8 @@ class TestCorrelators:
             g = correlators(params, 9)
             if params.infinite:
                 assert np.array_equal(g, g_infinite(params, 9))
-                t, weights = xychain._graded_rule(params.lam, params.gamma, 9)
-                nodes = xychain._nodes(t, weights / np.pi, 9)
+                nodes = xychain._cell_nodes(params.gamma, 9,
+                                            xychain._cell(params.lam, params.gamma))
             else:
                 assert np.array_equal(g, g_finite(params, 9))
                 nodes = xychain._momentum_table(params.length, 9)
@@ -409,6 +457,18 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True, check=True, timeout=120)
         assert out.stdout.splitlines() == ["[]", "3 True"]
+
+    def test_infinite_chain_point_does_not_load_numpy_ma(self):
+        # np.unique imports numpy.ma, which would add ~0.9 MB to every run
+        script = (
+            "import sys\n"
+            "from xymqc import analysis\n"
+            "row = analysis.measure_point(1.1, 0.5, 4, 4)\n"
+            "print(row['status'], 'numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.splitlines() == ["ok False"]
 
 
 class TestRdm3:
